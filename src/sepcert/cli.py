@@ -17,8 +17,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__
+from ._blas import SOLVE_BLAS_THREADS
 from .corrdata import read_dataset, write_dataset
 from .errors import NotEntangled, SepcertError, SolverFailure
 from .momentmat import (GENERAL_SCHEME, SchemeKind, SymmetryScheme, layout_for)
@@ -78,6 +80,9 @@ def _write_manifest(args, stem: str, outputs) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "tool": f"sepcert {__version__}",
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "solve_blas_threads": SOLVE_BLAS_THREADS,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": config,
         "outputs": outputs,

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from ._blas import single_blas_thread
 from .corrdata import CorrelationDataset
 from .errors import NotEntangled, SolverFailure
 from .momentmat import (Constant, Data, EntryConstraint, FreeVar,
@@ -39,7 +40,6 @@ class SolverOptions:
     feas_tol: float = 1e-8
     max_iter: int = 200
     step_fraction: float = 0.98
-    initial_point_scale: float = 1.0
 
     def __post_init__(self):
         if self.gap_tol <= 0 or self.feas_tol <= 0:
@@ -185,6 +185,7 @@ class InteriorPointSolver:
     def __init__(self, options: SolverOptions | None = None):
         self.options = options or SolverOptions()
 
+    @single_blas_thread()
     def solve(self, prob: BlockSdp, keep_trace: bool = False) -> IpmResult:
         opts = self.options
         if not prob._finalized:
@@ -195,7 +196,7 @@ class InteriorPointSolver:
         dtot = sum(dims)
         scale = max(1.0, float(np.sqrt(np.abs(b_vec).sum())))
 
-        x = [np.eye(d) * opts.initial_point_scale * scale for d in dims]
+        x = [np.eye(d) * scale for d in dims]
         if prob.initial_u is not None:
             u = prob.initial_u.copy()
             s = prob.g_of(u)
@@ -306,7 +307,7 @@ class InteriorPointSolver:
                 trace[-1].update({"sigma": sigma, "alpha_p": alpha_p, "alpha_d": alpha_d})
 
         u = -y
-        s_final = prob.g_of(u)
+        s_final = prob.g_of(u)  # = F0 - A*(y), so s_final - s is the loop's rd
         pobj = sum(float(np.sum(f * xb)) for f, xb in zip(prob.f0, x))
         dobj = float(b_vec @ y)
         rp = b_vec - prob.apply_a(x)
@@ -315,7 +316,9 @@ class InteriorPointSolver:
             obj=float(prob.c @ u), cert_obj=-pobj,
             gap=abs(pobj - dobj),
             pinfeas=float(np.linalg.norm(rp)) / b_norm,
-            dinfeas=0.0, iterations=it, trace=trace)
+            dinfeas=math.sqrt(sum(float(np.sum((sf - sb) ** 2))
+                                  for sf, sb in zip(s_final, s))) / f0_norm,
+            iterations=it, trace=trace)
 
     @staticmethod
     def _schur(prob: BlockSdp, w_blocks):
@@ -569,6 +572,7 @@ def _extract_multipliers(problem: SdpProblem, zbar: np.ndarray):
     return sol[:nd], sol[nd:], slack
 
 
+@single_blas_thread()
 def solve(problem: SdpProblem, options: SolverOptions | None = None,
           keep_trace: bool = False) -> SdpSolution:
     """Run the interior-point method and build verified certificates."""

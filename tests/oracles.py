@@ -5,7 +5,11 @@ code under test: explicit classical averages over mixtures, dense quantum
 states, or brute-force evaluation.
 """
 
+import ctypes
+
 import numpy as np
+import numpy.linalg._umath_linalg
+import scipy.linalg._flapack
 
 import sepcert as sc
 from sepcert.seporacle import make_rng
@@ -92,3 +96,30 @@ def expm_thermal_correlator(spec, temperature, i, j, axis):
     rho /= np.trace(rho)
     op = (_site_op(spec.n, i, axis) @ _site_op(spec.n, j, axis)).toarray()
     return float(np.real(np.sum(rho.T * op)))
+
+
+def _openblas_setters():
+    setters = {}
+    for ext in (numpy.linalg._umath_linalg, scipy.linalg._flapack):
+        fn = getattr(ctypes.CDLL(ext.__file__), "openblas_set_num_threads_local", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+            setters[ctypes.cast(fn, ctypes.c_void_p).value] = fn
+    return list(setters.values())
+
+
+OPENBLAS_SETTERS = _openblas_setters()
+
+
+def blas_thread_counts():
+    """Thread count of each OpenBLAS bundled by numpy and scipy, read through
+    the setter the solver scopes with: set 1, take the previous value, put it
+    back.  Call it inside a solve's scope or while no solve runs, since the
+    count is process-wide and putting back a stale value would undo a
+    restore made meanwhile."""
+    counts = []
+    for fn in OPENBLAS_SETTERS:
+        prev = fn(1)
+        fn(prev)
+        counts.append(prev)
+    return counts

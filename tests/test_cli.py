@@ -6,9 +6,12 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
 import sepcert as sc
 from sepcert.cli import main
+
+from oracles import OPENBLAS_SETTERS
 
 
 def run(argv):
@@ -23,6 +26,8 @@ def test_generate_werner(tmp_path, capsys):
     manifest = json.loads((tmp_path / "werner_lam0.manifest.json").read_text())
     assert manifest["config"]["noise"] == 0.0
     assert "timestamp" in manifest
+    assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
+    assert manifest["solve_blas_threads"] == (1 if OPENBLAS_SETTERS else None)
 
 
 def test_generate_quench_t0(tmp_path):

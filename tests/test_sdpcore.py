@@ -1,15 +1,27 @@
 """Assembly, interior-point solving, duality certificates, hierarchy."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import sepcert as sc
+from sepcert._blas import single_blas_thread
 from sepcert.errors import NotEntangled
 from sepcert.momentmat import GENERAL_SCHEME, layout_for
-from sepcert.sdpcore import SdpStatus, assemble_primal, solve
+from sepcert.sdpcore import (InteriorPointSolver, SdpStatus, SolverOptions,
+                             assemble_primal, solve)
 from sepcert.seporacle import make_rng
 
-from oracles import drop_entries, entangled_state_dataset, random_state_dataset
+from oracles import (OPENBLAS_SETTERS, blas_thread_counts, drop_entries,
+                     entangled_state_dataset, random_state_dataset)
+
+needs_openblas_setter = pytest.mark.skipif(
+    not OPENBLAS_SETTERS, reason="no OpenBLAS exposes openblas_set_num_threads_local")
 
 
 def test_werner_lambda_star():
@@ -211,6 +223,23 @@ def test_iteration_limit_status():
     assert not sol.entangled  # non-optimal statuses never claim detection
 
 
+def test_final_dual_infeasibility_reported():
+    problem = assemble_primal(layout_for(sc.quench_dataset(sc.quench_amplitudes(8, 2.0))))
+    opts = SolverOptions()
+    res = InteriorPointSolver(opts).solve(problem.reduced, keep_trace=True)
+    assert res.status is SdpStatus.OPTIMAL
+    assert res.dinfeas <= opts.feas_tol
+    assert res.dinfeas == res.trace[-1]["dinfeas"]
+    # The default start is dual feasible, so its residual stays at rounding
+    # level; from u = 0 the first two dual steps at level 2 are short of full
+    # length and leave a residual far above the tolerance.
+    problem = assemble_primal(layout_for(random_state_dataset(3, 601), level=2))
+    problem.reduced.initial_u = None
+    res = InteriorPointSolver(SolverOptions(max_iter=2)).solve(problem.reduced)
+    assert res.status is SdpStatus.ITERATION_LIMIT
+    assert res.dinfeas > opts.feas_tol
+
+
 def test_bad_solver_options():
     with pytest.raises(ValueError):
         sc.SolverOptions(gap_tol=0.0)
@@ -224,3 +253,91 @@ def test_lambda_star_range():
         ds = random_state_dataset(3, 600 + seed)
         sol, _ = sc.certify(ds)
         assert -1e-8 <= sol.lambda_star <= 1.0 + 1e-8
+
+
+# -- BLAS threads during solves --------------------------------------------------
+
+
+@needs_openblas_setter
+def test_solves_run_on_one_blas_thread_and_restore(monkeypatch):
+    before = blas_thread_counts()
+    inside = []
+    schur = InteriorPointSolver._schur
+
+    def recording_schur(prob, w_blocks):
+        inside.append(blas_thread_counts())
+        return schur(prob, w_blocks)
+
+    monkeypatch.setattr(InteriorPointSolver, "_schur", staticmethod(recording_schur))
+    sc.certify(sc.werner_dataset(0.0))
+    assert blas_thread_counts() == before
+    sc.cmc_check(sc.dataset_of(sc.random_product_state(3, 5)))
+    assert blas_thread_counts() == before
+    assert inside and all(c == [1] * len(OPENBLAS_SETTERS) for c in inside)
+
+    def failing_schur(prob, w_blocks):
+        raise RuntimeError("injected Schur failure")
+
+    monkeypatch.setattr(InteriorPointSolver, "_schur", staticmethod(failing_schur))
+    with pytest.raises(RuntimeError, match="injected"):
+        sc.certify(sc.werner_dataset(0.0))
+    assert blas_thread_counts() == before
+
+
+@needs_openblas_setter
+def test_solve_on_worker_thread_leaves_main_count():
+    before = blas_thread_counts()
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(sc.certify(sc.werner_dataset(0.0))[0].status))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert results == [SdpStatus.OPTIMAL]
+    assert blas_thread_counts() == before
+
+
+@needs_openblas_setter
+def test_overlapping_scopes_restore_counts():
+    # OpenBLAS's pthreads builds apply the setter process-wide, so a scope
+    # that leaves while another is still inside must not restore the count.
+    before = blas_thread_counts()
+    one = [1] * len(OPENBLAS_SETTERS)
+    errors = []
+
+    def hammer():
+        for _ in range(200):
+            with single_blas_thread():
+                time.sleep(0)  # let other threads enter and leave meanwhile
+                if blas_thread_counts() != one:
+                    errors.append(blas_thread_counts())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert blas_thread_counts() == before
+
+
+@needs_openblas_setter
+def test_solve_matches_single_threaded_blas_bit_for_bit():
+    code = ("import sepcert as sc\n"
+            "sol, _ = sc.certify(sc.quench_dataset(sc.quench_amplitudes(32, 5.0)))\n"
+            "print(sol.lambda_star.hex(), sol.w_data.tobytes().hex())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True, timeout=300)
+    lam_hex, w_hex = child.stdout.split()
+    sol, _ = sc.certify(sc.quench_dataset(sc.quench_amplitudes(32, 5.0)))
+    assert sol.lambda_star.hex() == lam_hex
+    assert sol.w_data.tobytes().hex() == w_hex
