@@ -23,13 +23,12 @@ from . import __version__
 from ._blas import SOLVE_BLAS_THREADS
 from .corrdata import read_dataset, write_dataset
 from .errors import NotEntangled, SepcertError, SolverFailure
-from .momentmat import (GENERAL_SCHEME, SchemeKind, SymmetryScheme, layout_for)
+from .momentmat import GENERAL_SCHEME, SchemeKind, SymmetryScheme
 from .physmodels import (ModelKind, ModelSpec, commensurate_grid,
                          concurrence_noise_robustness,
                          optimal_structure_witness, quench_amplitudes,
                          quench_dataset, thermal_dataset_ed, werner_dataset)
-from .sdpcore import (DETECTION_THRESHOLD, SdpStatus, SolverOptions,
-                      assemble_primal, extract_witness, solve)
+from .sdpcore import SdpStatus, SolverOptions, certify, extract_witness
 from .seporacle import dataset_of, max_over_product_states, random_product_state
 from .witnesslab import bipartite_witness_value, read_witness, eval_witness, write_witness
 
@@ -50,21 +49,20 @@ _FORCED_SCHEMES = {
 }
 
 
-def _common_flags(parser):
+def _out_flag(parser):
     parser.add_argument("--out", default=".", help="output directory (default: .)")
+
+
+def _seed_flag(parser):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+
+
+def _solver_flags(parser):
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="solver gap/feasibility tolerance")
     parser.add_argument("--max-iter", type=int, default=200)
     parser.add_argument("--level", type=int, choices=(1, 2), default=1,
                         help="relaxation level")
-    parser.add_argument("--scheme", choices=("auto", "general", "axis",
-                                             "transverse", "rotation"),
-                        default="auto", help="symmetrization scheme")
-    parser.add_argument("--dump-layout", action="store_true",
-                        help="print the moment-matrix entry-kind grid")
-    parser.add_argument("--solver-trace", action="store_true",
-                        help="write per-iteration solver residuals as CSV")
 
 
 def _solver_options(args) -> SolverOptions:
@@ -132,13 +130,12 @@ def cmd_certify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ds = read_dataset(args.dataset)
     stem = os.path.splitext(os.path.basename(args.dataset))[0]
-    layout = layout_for(ds, level=args.level, scheme=_scheme_of(args),
-                        strict=args.scheme == "auto")
+    solution, problem = certify(ds, level=args.level, scheme=_scheme_of(args),
+                                options=_solver_options(args),
+                                keep_trace=args.solver_trace)
+    layout = problem.layout
     if args.dump_layout:
         print(layout.render_grid())
-    problem = assemble_primal(layout)
-    solution = solve(problem, options=_solver_options(args),
-                     keep_trace=args.solver_trace)
     outputs = []
     if args.solver_trace:
         trace_path = os.path.join(args.out, f"{stem}.trace.csv")
@@ -165,16 +162,6 @@ def cmd_certify(args) -> int:
         "level": args.level,
         "verdict": verdict,
     }
-    witness_path = None
-    if solution.status not in (SdpStatus.OPTIMAL,):
-        sol_path = os.path.join(args.out, f"{stem}.solution.json")
-        with open(sol_path, "w", encoding="utf-8") as fh:
-            json.dump(sol_doc, fh, indent=1)
-            fh.write("\n")
-        _write_manifest(args, stem, outputs + [sol_path])
-        print(f"solver did not certify a solution ({solution.status.value})",
-              file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
     if solution.entangled:
         witness = extract_witness(solution, problem)
         witness_path = os.path.join(args.out, f"{stem}.witness.json")
@@ -195,6 +182,10 @@ def cmd_certify(args) -> int:
         fh.write("\n")
     outputs.append(sol_path)
     _write_manifest(args, stem, outputs)
+    if solution.status is not SdpStatus.OPTIMAL:
+        print(f"solver did not certify a solution ({solution.status.value})",
+              file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     return EXIT_ENTANGLED if solution.entangled else EXIT_SEPARABLE
 
 
@@ -247,11 +238,7 @@ def _sweep_point(kind: str, point: float, args_dict: dict) -> dict:
                              g=args_dict["g"])
             ds = thermal_dataset_ed(spec, point)
             amps = None
-        layout = layout_for(ds, level=args_dict["level"])
-        solution = solve(assemble_primal(layout),
-                         options=SolverOptions(gap_tol=args_dict["tol"],
-                                               feas_tol=args_dict["tol"],
-                                               max_iter=args_dict["max_iter"]))
+        solution, _ = certify(ds, level=args_dict["level"], options=args_dict["options"])
         row["status"] = solution.status.value
         row["lambda_star"] = f"{solution.lambda_star:.12g}"
         row["gap"] = f"{solution.duality_gap:.3e}"
@@ -274,7 +261,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
     args_dict = {"n": args.n, "g": args.g, "model": getattr(args, "model", None),
-                 "level": args.level, "tol": args.tol, "max_iter": args.max_iter}
+                 "level": args.level, "options": _solver_options(args)}
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, [args.kind] * len(points), points,
@@ -318,13 +305,22 @@ def build_parser() -> argparse.ArgumentParser:
     g_thermal.add_argument("--g", type=float, default=0.0, help="transverse field (ising)")
     g_product = gen_sub.add_parser("product-random", help="random product state")
     g_product.add_argument("--n", type=int, required=True)
+    _seed_flag(g_product)
     for p in (g_werner, g_quench, g_thermal, g_product):
-        _common_flags(p)
+        _out_flag(p)
         p.set_defaults(func=cmd_generate)
 
     cert = sub.add_parser("certify", help="solve the noise-robustness program")
     cert.add_argument("dataset")
-    _common_flags(cert)
+    _out_flag(cert)
+    _solver_flags(cert)
+    cert.add_argument("--scheme", choices=("auto", "general", "axis",
+                                           "transverse", "rotation"),
+                      default="auto", help="symmetrization scheme")
+    cert.add_argument("--dump-layout", action="store_true",
+                      help="print the moment-matrix entry-kind grid")
+    cert.add_argument("--solver-trace", action="store_true",
+                      help="write per-iteration solver residuals as CSV")
     cert.set_defaults(func=cmd_certify)
 
     wit = sub.add_parser("witness", help="witness utilities")
@@ -332,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     wev = wit_sub.add_parser("eval", help="evaluate a witness file on a dataset")
     wev.add_argument("witness")
     wev.add_argument("dataset")
-    _common_flags(wev)
     wev.set_defaults(func=cmd_witness_eval)
 
     orc = sub.add_parser("oracle", help="separable-side oracles")
@@ -342,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     ops.add_argument("witness")
     ops.add_argument("--n", type=int, required=True)
     ops.add_argument("--restarts", type=int, default=1000)
-    _common_flags(ops)
+    _out_flag(ops)
+    _seed_flag(ops)
     ops.set_defaults(func=cmd_product_search)
 
     swp = sub.add_parser("sweep", help="certify along a parameter grid")
@@ -357,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     s_thermal.add_argument("--g", type=float, default=0.0)
     for p in (s_quench, s_thermal):
         p.add_argument("--workers", type=int, default=max(1, min(4, os.cpu_count() or 1)))
-        _common_flags(p)
+        _out_flag(p)
+        _solver_flags(p)
         p.set_defaults(func=cmd_sweep)
     s_quench.set_defaults(g=0.0, model=None)
 

@@ -188,10 +188,7 @@ class CorrelationDataset:
         return self._one.get((int(i), PauliAxis.coerce(axis)), default)
 
     def get_two(self, i, j, ax_i, ax_j, default=None):
-        try:
-            key = _canonical_pair(int(i), int(j), PauliAxis.coerce(ax_i), PauliAxis.coerce(ax_j))
-        except BadKey:
-            raise
+        key = _canonical_pair(int(i), int(j), PauliAxis.coerce(ax_i), PauliAxis.coerce(ax_j))
         return self._two.get(key, default)
 
     def one_items(self):

@@ -484,15 +484,13 @@ def _orbit(m: Monomial, group):
 
 
 def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
-                 scheme: SymmetryScheme = GENERAL_SCHEME,
-                 strict: bool = True) -> MomentMatrixLayout:
+                 scheme: SymmetryScheme = GENERAL_SCHEME) -> MomentMatrixLayout:
     """Classify every moment-matrix entry for the given dataset and scheme.
 
     Schemes other than General are proven only for the degree-1 basis; the
     general layout supports any level and hybrid extras, reducing entries to
-    normal form under the per-site quadratic constraint.  ``strict=False``
-    skips the exact shape-validity check, for callers who assert that their
-    data only deviate from the scheme shape by numerical noise.
+    normal form under the per-site quadratic constraint.  The data must carry
+    the scheme's shape exactly, or SchemeMismatch is raised.
     """
     if ds.n_sites != basis.n_sites:
         raise BadKey(f"dataset has {ds.n_sites} sites, basis was built for {basis.n_sites}")
@@ -500,8 +498,7 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
     if hybrid and scheme.kind is not SchemeKind.GENERAL:
         raise SchemeMismatch("symmetrization schemes are established only for the "
                              "level-1 basis; use the general scheme at higher levels")
-    if strict:
-        check_scheme_valid(ds, scheme)
+    check_scheme_valid(ds, scheme)
 
     monos = basis.monomials
     index = basis.index()
@@ -727,7 +724,7 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
 
 
 def layout_for(ds: CorrelationDataset, level: int = 1, scheme=None,
-               extras=(), strict: bool = True) -> MomentMatrixLayout:
+               extras=()) -> MomentMatrixLayout:
     """Basis + scheme selection + layout in one step.
 
     ``scheme=None`` auto-detects at level 1 and uses the general scheme at
@@ -736,8 +733,7 @@ def layout_for(ds: CorrelationDataset, level: int = 1, scheme=None,
     basis = monomial_basis(ds.n_sites, level, extras)
     if scheme is None:
         scheme = select_scheme(ds) if (level == 1 and not extras) else GENERAL_SCHEME
-        strict = True  # auto-detected schemes are valid by construction
-    return build_layout(basis, ds, scheme, strict=strict)
+    return build_layout(basis, ds, scheme)
 
 
 # -- the fully reduced closed form ---------------------------------------------

@@ -162,13 +162,13 @@ def quench_state_vector(amps: QuenchAmplitudes) -> np.ndarray:
 # -- exact diagonalization of thermal chains ---------------------------------
 
 
-def _site_op(n: int, i: int, axis: PauliAxis) -> sp.csr_matrix:
-    return sp.kron(sp.kron(sp.identity(2 ** i, format="csr"), sp.csr_matrix(_PAULI[axis])),
+def _site_op(n: int, i: int, local: np.ndarray) -> sp.csr_matrix:
+    return sp.kron(sp.kron(sp.identity(2 ** i, format="csr"), sp.csr_matrix(local)),
                    sp.identity(2 ** (n - i - 1), format="csr"), format="csr")
 
 
 def _pair_op(n: int, i: int, j: int, ax_i: PauliAxis, ax_j: PauliAxis) -> sp.csr_matrix:
-    return _site_op(n, i, ax_i) @ _site_op(n, j, ax_j)
+    return _site_op(n, i, _PAULI[ax_i]) @ _site_op(n, j, _PAULI[ax_j])
 
 
 def hamiltonian(spec: ModelSpec) -> sp.csr_matrix:
@@ -184,7 +184,7 @@ def hamiltonian(spec: ModelSpec) -> sp.csr_matrix:
     for i in range(n):
         j = (i + 1) % n
         h = h + _pair_op(n, min(i, j), max(i, j), PauliAxis.Z, PauliAxis.Z)
-        h = h + spec.g * _site_op(n, i, PauliAxis.X)
+        h = h + spec.g * _site_op(n, i, _PAULI[PauliAxis.X])
     return (-spec.J / 4.0) * h.real
 
 
@@ -204,9 +204,43 @@ def thermal_density(spec: ModelSpec, temperature: float) -> np.ndarray:
     return (evecs * w) @ evecs.T
 
 
-def _sparse_trace(rho: np.ndarray, op: sp.spmatrix) -> float:
-    coo = op.tocoo()
-    return float(np.real(np.sum(coo.data * rho[coo.col, coo.row])))
+def _clean(v) -> float:
+    v = float(np.clip(v, -1.0, 1.0))
+    return 0.0 if abs(v) < _CLEAN_TOL else v
+
+
+def _correlators(state: np.ndarray, n: int):
+    """Every one- and two-body correlator of a state vector or density matrix
+    on n sites, as (one, two) dicts of cleaned values.
+
+    The site operators are real stand-ins, X, ytil and Z with Y = i * ytil;
+    each expectation value is multiplied by i^(number of Y factors) and its
+    real part kept.  For a real density matrix every correlator with an odd
+    number of Y factors therefore comes out as exact zero.
+    """
+    ytil = np.array([[0.0, -1.0], [1.0, 0.0]])
+    site = {(i, a): _site_op(n, i, ytil if a is PauliAxis.Y else _PAULI[a].real)
+            for i in range(n) for a in AXES}
+    if state.ndim == 1:
+        def expval(op):
+            return np.vdot(state, op @ state)
+    else:
+        def expval(op):  # Tr[rho op], summed in tocoo() order without building a COO matrix
+            rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+            return np.sum(op.data * state[op.indices, rows])
+
+    def value(op, n_y):
+        return _clean(np.real((1, 1j, -1)[n_y] * expval(op)))
+
+    one = {(i, a): value(site[(i, a)], a is PauliAxis.Y) for i in range(n) for a in AXES}
+    two = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in AXES:
+                for b in AXES:
+                    two[(i, j, a, b)] = value(site[(i, a)] @ site[(j, b)],
+                                              (a is PauliAxis.Y) + (b is PauliAxis.Y))
+    return one, two
 
 
 def thermal_dataset_ed(spec: ModelSpec, temperature: float) -> CorrelationDataset:
@@ -219,94 +253,31 @@ def thermal_dataset_ed(spec: ModelSpec, temperature: float) -> CorrelationDatase
     emitted dataset carries the model symmetry exactly.
     """
     n = spec.n
-    rho = thermal_density(spec, temperature)
-    ytil = sp.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))  # Y = i * ytil
-
-    def clean(v):
-        v = float(np.clip(v, -1.0, 1.0))
-        return 0.0 if abs(v) < _CLEAN_TOL else v
-
-    def embed(i, local):
-        return sp.kron(sp.kron(sp.identity(2 ** i, format="csr"), local),
-                       sp.identity(2 ** (n - i - 1), format="csr"), format="csr")
-
-    # Real stand-ins per site: X and Z verbatim, Y via ytil with Y = i*ytil.
-    site = {(i, a): embed(i, sp.csr_matrix(_PAULI[a].real) if a is not PauliAxis.Y else ytil)
-            for i in range(n) for a in AXES}
-
-    one = {}
-    for i in range(n):
-        for a in AXES:
-            # Tr[rho Y_i] is purely imaginary for real rho, hence exactly 0.
-            one[(i, a)] = 0.0 if a is PauliAxis.Y else clean(_sparse_trace(rho, site[(i, a)]))
-
-    two = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in AXES:
-                for b in AXES:
-                    ny = (a is PauliAxis.Y) + (b is PauliAxis.Y)
-                    if ny == 1:
-                        two[(i, j, a, b)] = 0.0  # odd Y count: imaginary operator
-                        continue
-                    op = site[(i, a)] @ site[(j, b)]
-                    if ny == 2:
-                        op = -op  # Y_i Y_j = (i ytil_i)(i ytil_j) = -ytil_i ytil_j
-                    two[(i, j, a, b)] = clean(_sparse_trace(rho, op))
+    one, two = _correlators(thermal_density(spec, temperature), n)
     if spec.kind is ModelKind.HEISENBERG:
         for i in range(n):
             for j in range(i + 1, n):
-                avg = np.mean([two[(i, j, a, a)] for a in AXES])
+                avg = _clean(np.mean([two[(i, j, a, a)] for a in AXES]))
                 for a in AXES:
-                    two[(i, j, a, a)] = clean(avg)
+                    two[(i, j, a, a)] = avg
     return CorrelationDataset(n, one, two)
 
 
 def state_dataset(state: np.ndarray, n_sites=None) -> CorrelationDataset:
     """All one- and two-body correlators of an arbitrary pure state vector or
     density matrix on 2^n dimensions (general complex path; used as oracle)."""
-    state = np.asarray(state)
+    state = np.asarray(state).astype(complex)
+    dim = state.shape[0]
     if state.ndim == 1:
-        dim = state.shape[0]
-        rho = None
-        psi = state.astype(complex)
-        nrm = np.linalg.norm(psi)
+        nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-10:
             raise NotNormalized(f"state vector norm {nrm!r} is not 1")
-    else:
-        dim = state.shape[0]
-        rho = state.astype(complex)
-        psi = None
     n = int(np.round(np.log2(dim))) if n_sites is None else int(n_sites)
     if 2 ** n != dim:
         raise BadKey(f"state dimension {dim} is not 2^{n}")
     if n > ED_SITE_CAP:
         raise TooLarge(f"correlator extraction capped at n <= {ED_SITE_CAP}")
-
-    def expval(op):
-        if psi is not None:
-            return float(np.real(np.vdot(psi, op @ psi)))
-        coo = op.tocoo()
-        return float(np.real(np.sum(coo.data * rho[coo.col, coo.row])))
-
-    def clean(v):
-        v = float(np.clip(v, -1.0, 1.0))
-        return 0.0 if abs(v) < _CLEAN_TOL else v
-
-    one = {(i, a): clean(expval(_site_op_c(n, i, a))) for i in range(n) for a in AXES}
-    two = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in AXES:
-                for b in AXES:
-                    two[(i, j, a, b)] = clean(expval(_site_op_c(n, i, a) @ _site_op_c(n, j, b)))
-    return CorrelationDataset(n, one, two)
-
-
-def _site_op_c(n: int, i: int, axis: PauliAxis) -> sp.csr_matrix:
-    return sp.kron(sp.kron(sp.identity(2 ** i, format="csr", dtype=complex),
-                           sp.csr_matrix(_PAULI[axis].astype(complex))),
-                   sp.identity(2 ** (n - i - 1), format="csr", dtype=complex), format="csr")
+    return CorrelationDataset(n, *_correlators(state, n))
 
 
 # -- structure factors --------------------------------------------------------

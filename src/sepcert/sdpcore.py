@@ -28,8 +28,7 @@ import scipy.sparse as sp
 from ._blas import single_blas_thread
 from .corrdata import CorrelationDataset
 from .errors import NotEntangled, SolverFailure
-from .momentmat import (Constant, Data, EntryConstraint, FreeVar,
-                        MomentMatrixLayout, Monomial, SchemeKind, layout_for)
+from .momentmat import Data, MomentMatrixLayout, Monomial, layout_for
 
 DETECTION_THRESHOLD = 1e-6
 
@@ -412,29 +411,6 @@ class SdpProblem:
     @property
     def pauli_rhs(self) -> np.ndarray:
         return np.array([row.rhs for row in self.pauli_rows])
-
-    def objective_blocks(self):
-        return [np.array([[1.0]]), np.zeros((self.gamma_dim, self.gamma_dim))]
-
-    def data_constraint_blocks(self, k: int):
-        """A_alpha^data: C_alpha in the scalar block plus the symmetrized
-        indicator of the data position."""
-        row = self.data_rows[k]
-        g = np.zeros((self.gamma_dim, self.gamma_dim))
-        r, c = row.position
-        g[r, c] = g[c, r] = 0.5
-        return [np.array([[row.value]]), g]
-
-    def pauli_constraint_blocks(self, k: int):
-        row = self.pauli_rows[k]
-        g = np.zeros((self.gamma_dim, self.gamma_dim))
-        for (r, c), coeff in row.entries:
-            if r == c:
-                g[r, r] += coeff
-            else:
-                g[r, c] += 0.5 * coeff
-                g[c, r] += 0.5 * coeff
-        return [np.zeros((1, 1)), g]
 
     def dual_slack_blocks(self, w_data, w_pauli):
         """M - sum w_alpha A_alpha - sum w_k A_k^Pauli, per block."""

@@ -6,6 +6,7 @@ states, or brute-force evaluation.
 """
 
 import ctypes
+import functools
 
 import numpy as np
 import numpy.linalg._umath_linalg
@@ -85,16 +86,31 @@ def best_x_state_pair(amps):
                for i in range(n) for j in range(i + 1, n))
 
 
+_DENSE_PAULI = {sc.PauliAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
+                sc.PauliAxis.Y: np.array([[0, -1j], [1j, 0]]),
+                sc.PauliAxis.Z: np.array([[1, 0], [0, -1]], dtype=complex)}
+
+
+def dense_pauli_string(n, factors):
+    """Dense 2^n matrix of the Pauli string {site: axis}, site 0 the most
+    significant qubit."""
+    mats = [np.eye(2)] * n
+    for site, axis in factors.items():
+        mats[site] = _DENSE_PAULI[sc.PauliAxis.coerce(axis)]
+    return functools.reduce(np.kron, mats)
+
+
 def expm_thermal_correlator(spec, temperature, i, j, axis):
     """Second exact-diagonalization route: Gibbs state via the dense matrix
-    exponential instead of the spectral decomposition."""
+    exponential instead of the spectral decomposition, and the pair operator
+    as a dense Kronecker product."""
     import scipy.linalg as sla
-    from sepcert.physmodels import hamiltonian, _site_op
+    from sepcert.physmodels import hamiltonian
 
     h = hamiltonian(spec).toarray()
     rho = sla.expm(-h / max(temperature, 1e-3))
     rho /= np.trace(rho)
-    op = (_site_op(spec.n, i, axis) @ _site_op(spec.n, j, axis)).toarray()
+    op = dense_pauli_string(spec.n, {i: axis, j: axis})
     return float(np.real(np.sum(rho.T * op)))
 
 

@@ -108,6 +108,16 @@ def test_certify_forced_scheme(tmp_path):
     assert a == b == 3
 
 
+def test_certify_forced_scheme_checked(tmp_path, capsys):
+    run(["generate", "product-random", "--n", 4, "--seed", 3, "--out", tmp_path])
+    capsys.readouterr()
+    code = run(["certify", tmp_path / "product_n4_seed3.json", "--out", tmp_path,
+                "--scheme", "axis"])
+    assert code == 2
+    assert "scheme axis maps" in capsys.readouterr().err
+    assert not (tmp_path / "product_n4_seed3.solution.json").exists()
+
+
 def test_witness_eval_roundtrip(tmp_path, capsys):
     run(["generate", "werner", "--lambda", "0", "--out", tmp_path])
     run(["certify", tmp_path / "werner_lam0.json", "--out", tmp_path])
@@ -188,9 +198,15 @@ def test_rerun_determinism(tmp_path):
     assert ma == mb
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("argv", [
+    ["generate", "werner"],
+    ["generate", "werner", "--lambda", 0, "--level", 2],
+    ["sweep", "quench-1d", "--n", 6, "--grid", 1, "--scheme", "rotation"],
+    ["witness", "eval", "w.json", "d.json", "--tol", 5],
+], ids=["missing-lambda", "generate-level", "sweep-scheme", "witness-eval-tol"])
+def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
-        run(["generate", "werner"])  # missing --lambda
+        run(argv)
     assert exc.value.code == 2
 
 

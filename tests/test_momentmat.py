@@ -111,8 +111,6 @@ def test_scheme_validity_enforced():
     rot = sc.SymmetryScheme(SchemeKind.ROTATION_INVARIANT, frozenset({0, 1, 2}), ((0, 1, 2),))
     with pytest.raises(SchemeMismatch):
         build_layout(monomial_basis(4, 1), ds, rot)
-    # non-strict opt-in silently degrades instead
-    build_layout(monomial_basis(4, 1), ds, rot, strict=False)
 
 
 # -- layouts ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from sepcert.errors import BadKey, BadNoiseLevel, MissingData, NotDensity, TooLa
 from sepcert.physmodels import quench_state_vector
 from sepcert.seporacle import make_rng
 
-from oracles import best_x_state_pair, expm_thermal_correlator
+from oracles import (best_x_state_pair, dense_pauli_string, expm_thermal_correlator,
+                     haar_state)
 
 # phi_0(n=8, t=1) computed once with 50-digit mpmath summation of
 # (1/8) sum_k exp(i cos(2 pi k / 8)); imaginary part is exactly zero there.
@@ -94,6 +95,27 @@ def test_quench_dataset_matches_exact_state():
         assert abs(v - exact.one(i, a)) < 1e-12
     for (i, j, a, b), v in model.two_items():
         assert abs(v - exact.two(i, j, a, b)) < 1e-12
+
+
+def test_state_dataset_matches_dense_paulis():
+    # a complex state, as a vector and as a density matrix: every correlator,
+    # odd-Y ones included, against dense Kronecker-product Pauli strings
+    psi = haar_state(3, 41)
+    for ds in (sc.state_dataset(psi), sc.state_dataset(np.outer(psi, psi.conj()))):
+        for (i, a), v in ds.one_items():
+            assert abs(v - np.vdot(psi, dense_pauli_string(3, {i: a}) @ psi).real) < 1e-12
+        for (i, j, a, b), v in ds.two_items():
+            op = dense_pauli_string(3, {i: a, j: b})
+            assert abs(v - np.vdot(psi, op @ psi).real) < 1e-12
+
+
+def test_thermal_odd_y_exact_zero():
+    ds = sc.thermal_dataset_ed(sc.ModelSpec(kind="ising", n=4, g=0.6), 0.4)
+    odd = [v for (_, a), v in ds.one_items() if a is sc.PauliAxis.Y]
+    odd += [v for (_, _, a, b), v in ds.two_items()
+            if (a is sc.PauliAxis.Y) != (b is sc.PauliAxis.Y)]
+    assert len(odd) == 4 + 6 * 4 and all(v == 0.0 for v in odd)
+    assert ds.two(0, 1, "Y", "Y") != 0.0
 
 
 def test_ring_coordinates():

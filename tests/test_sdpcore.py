@@ -85,11 +85,6 @@ def test_assemble_werner_constraints():
     prob = assemble_primal(layout_for(sc.werner_dataset(0.0)))
     assert len(prob.data_rows) == 3
     assert prob.reduced.n_vars == 1  # no free unknowns beyond the noise variable
-    m_blocks = prob.objective_blocks()
-    assert m_blocks[0][0, 0] == 1.0 and not m_blocks[1].any()
-    a0 = prob.data_constraint_blocks(0)
-    assert a0[0][0, 0] == prob.data_rows[0].value
-    assert np.sum(a0[1]) == 1.0  # two symmetrized halves
 
 
 def test_duality_identities_on_corpus():
