@@ -57,10 +57,20 @@ def _seed_flag(parser):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
+def _positive(kind):
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
 def _solver_flags(parser):
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=_positive(float), default=1e-8,
                         help="solver gap/feasibility tolerance")
-    parser.add_argument("--max-iter", type=int, default=200)
+    parser.add_argument("--max-iter", type=_positive(int), default=200)
     parser.add_argument("--level", type=int, choices=(1, 2), default=1,
                         help="relaxation level")
 
@@ -157,6 +167,8 @@ def cmd_certify(args) -> int:
         "status": solution.status.value,
         "lambda_star": solution.lambda_star,
         "duality_gap": solution.duality_gap,
+        "pinfeas": solution.pinfeas,
+        "dinfeas": solution.dinfeas,
         "iterations": solution.iterations,
         "scheme": layout.scheme.kind.value,
         "level": args.level,

@@ -146,19 +146,6 @@ def quench_dataset(amps: QuenchAmplitudes) -> CorrelationDataset:
     return CorrelationDataset(n, one, two)
 
 
-def quench_state_vector(amps: QuenchAmplitudes) -> np.ndarray:
-    """Full 2^n state vector of the single-excitation state (for oracles)."""
-    n = amps.n
-    if n > ED_SITE_CAP:
-        raise TooLarge(f"state vector construction capped at n <= {ED_SITE_CAP}")
-    psi = np.zeros(2 ** n, dtype=complex)
-    for i in range(n):
-        # Basis index with a single down spin (bit set) at site i, counting
-        # site 0 as the most significant qubit.
-        psi[1 << (n - 1 - i)] = amps.phi[i]
-    return psi
-
-
 # -- exact diagonalization of thermal chains ---------------------------------
 
 

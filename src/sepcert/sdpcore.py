@@ -157,17 +157,35 @@ class IpmResult:
     trace: list
 
 
+_POTRF, _POTRS, _TRTRI, _SYEVD = sla.get_lapack_funcs(
+    ("potrf", "potrs", "trtri", "syevd"), dtype=np.float64)
+
+
+def _lapack(name, result):
+    """Outputs of a raw LAPACK call; a nonzero ``info`` becomes LinAlgError."""
+    *out, info = result
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} failed with info={info}")
+    return out
+
+
 def _chol(mat):
-    return np.linalg.cholesky(mat)
+    return _lapack("potrf", _POTRF(mat, lower=1))[0]
 
 
-def _max_step(mat_blocks, dmat_blocks, chol_blocks):
-    """Largest alpha with mat + alpha * dmat staying PSD (exact via eigs)."""
+def _factor(mat):
+    """Lower Cholesky factor L of a block and its inverse L^-1."""
+    low = _chol(mat)
+    return low, _lapack("trtri", _TRTRI(low, lower=1))[0]
+
+
+def _max_step(dmat_blocks, linv_blocks):
+    """Largest alpha with L L^T + alpha * dmat staying PSD, from the
+    eigenvalues of L^-1 dmat L^-T."""
     alpha = np.inf
-    for l, dm in zip(chol_blocks, dmat_blocks):
-        w = sla.solve_triangular(l, dm, lower=True)
-        w = sla.solve_triangular(l, w.T, lower=True)
-        lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
+    for linv, dm in zip(linv_blocks, dmat_blocks):
+        evals = _lapack("syevd", _SYEVD(linv @ dm @ linv.T, compute_v=0))[0]
+        lam_min = float(evals[0])
         if lam_min < -1e-14:
             alpha = min(alpha, -1.0 / lam_min)
     return alpha
@@ -229,6 +247,10 @@ class InteriorPointSolver:
             if keep_trace:
                 trace.append({"iter": it - 1, "mu": mu, "pinfeas": pinf,
                               "dinfeas": dinf, "relgap": relgap})
+            # The raw LAPACK calls below do not reject NaN or inf input.
+            if not (math.isfinite(mu) and math.isfinite(pinf) and math.isfinite(dinf)):
+                status = SdpStatus.NUMERICAL_TROUBLE
+                break
             if relgap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
                 status = SdpStatus.OPTIMAL
                 break
@@ -236,28 +258,23 @@ class InteriorPointSolver:
                 status = SdpStatus.PRIMAL_INFEASIBLE
                 break
 
+            # The Cholesky factors of S and X and their inverses, computed once
+            # per block, serve the scaling, S^-1 and all four step lengths.
+            s_inv, w_blocks, linv_s, linv_x = [], [], [], []
             try:
-                chol_s = [_chol(blk) for blk in s]
-                chol_x = [_chol(blk) for blk in x]
-            except np.linalg.LinAlgError:
-                status = SdpStatus.NUMERICAL_TROUBLE
-                break
-
-            s_inv, w_blocks = [], []
-            try:
-                for blk_l, blk_x in zip(chol_s, x):
-                    d = blk_l.shape[0]
-                    sinv = sla.cho_solve((blk_l, True), np.eye(d))
-                    t = blk_l.T @ blk_x @ blk_l
-                    evals, evecs = np.linalg.eigh(0.5 * (t + t.T))
+                for blk_s, blk_x in zip(s, x):
+                    low, linv = _factor(blk_s)
+                    linv_s.append(linv)
+                    linv_x.append(_factor(blk_x)[1])
+                    t = low.T @ blk_x @ low
+                    evals, evecs = _lapack("syevd", _SYEVD(0.5 * (t + t.T)))
                     if evals[0] <= 0:
                         raise np.linalg.LinAlgError("scaling matrix not PD")
                     sqrt_t = (evecs * np.sqrt(evals)) @ evecs.T
-                    wtmp = sla.solve_triangular(blk_l.T, sqrt_t, lower=False)
-                    w = sla.solve_triangular(blk_l.T, wtmp.T, lower=False).T
-                    w = 0.5 * (w + w.T)
+                    w = linv.T @ sqrt_t @ linv
+                    sinv = linv.T @ linv
                     s_inv.append(0.5 * (sinv + sinv.T))
-                    w_blocks.append(w)
+                    w_blocks.append(0.5 * (w + w.T))
             except np.linalg.LinAlgError:
                 status = SdpStatus.NUMERICAL_TROUBLE
                 break
@@ -271,8 +288,8 @@ class InteriorPointSolver:
             def solve_schur(rhs):
                 if schur_fac is None:
                     return np.linalg.lstsq(schur, rhs, rcond=None)[0]
-                sol = sla.cho_solve((schur_fac, True), rhs)
-                sol += sla.cho_solve((schur_fac, True), rhs - schur @ sol)
+                sol = _lapack("potrs", _POTRS(schur_fac, rhs, lower=1))[0]
+                sol += _lapack("potrs", _POTRS(schur_fac, rhs - schur @ sol, lower=1))[0]
                 return sol
 
             wrdw = prob.apply_a([w @ r @ w for w, r in zip(w_blocks, rd)])
@@ -282,8 +299,8 @@ class InteriorPointSolver:
             dy_aff = solve_schur(rhs_aff)
             ds_aff = [r - m for r, m in zip(rd, prob.apply_at(dy_aff))]
             dx_aff = [-xb - w @ dsb @ w for xb, dsb, w in zip(x, ds_aff, w_blocks)]
-            alpha_p = min(1.0, opts.step_fraction * _max_step(x, dx_aff, chol_x))
-            alpha_d = min(1.0, opts.step_fraction * _max_step(s, ds_aff, chol_s))
+            alpha_p = min(1.0, opts.step_fraction * _max_step(dx_aff, linv_x))
+            alpha_d = min(1.0, opts.step_fraction * _max_step(ds_aff, linv_s))
             mu_aff = sum(
                 float(np.sum((xb + alpha_p * dxb) * (sb + alpha_d * dsb)))
                 for xb, dxb, sb, dsb in zip(x, dx_aff, s, ds_aff)) / dtot
@@ -296,8 +313,8 @@ class InteriorPointSolver:
             dx = [sigma * mu * si - xb - w @ dsb @ w
                   for si, xb, dsb, w in zip(s_inv, x, ds, w_blocks)]
             dx = [0.5 * (m + m.T) for m in dx]
-            alpha_p = min(1.0, opts.step_fraction * _max_step(x, dx, chol_x))
-            alpha_d = min(1.0, opts.step_fraction * _max_step(s, ds, chol_s))
+            alpha_p = min(1.0, opts.step_fraction * _max_step(dx, linv_x))
+            alpha_d = min(1.0, opts.step_fraction * _max_step(ds, linv_s))
 
             x = [xb + alpha_p * dxb for xb, dxb in zip(x, dx)]
             s = [sb + alpha_d * dsb for sb, dsb in zip(s, ds)]
@@ -486,6 +503,8 @@ class SdpSolution:
     dual_feas_residual: float
     strong_duality_residual: float
     min_eig_x: float
+    pinfeas: float          # final relative primal and dual infeasibility of the IPM
+    dinfeas: float
     trace: list = field(default_factory=list, repr=False)
 
     @property
@@ -589,7 +608,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
         duality_gap=res.gap, iterations=res.iterations,
         w_dot_c=w_dot_c, dual_feas_residual=dual_resid,
         strong_duality_residual=strong_resid, min_eig_x=min_eig_x,
-        trace=res.trace)
+        pinfeas=res.pinfeas, dinfeas=res.dinfeas, trace=res.trace)
 
 
 def certify(ds: CorrelationDataset, level: int = 1, scheme=None, extras=(),

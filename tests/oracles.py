@@ -34,6 +34,17 @@ def haar_state(n: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def quench_state_vector(amps) -> np.ndarray:
+    """Full 2^n state vector of the single-excitation quench state: the
+    amplitude phi_i sits on the basis state with one down spin (bit set) at
+    site i, site 0 being the most significant qubit."""
+    n = amps.n
+    psi = np.zeros(2 ** n, dtype=complex)
+    for i in range(n):
+        psi[1 << (n - 1 - i)] = amps.phi[i]
+    return psi
+
+
 def random_state_dataset(n: int, seed) -> sc.CorrelationDataset:
     """Full correlator set of a Haar-random pure state."""
     return sc.state_dataset(haar_state(n, seed))

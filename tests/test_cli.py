@@ -58,6 +58,7 @@ def test_certify_werner_exit_code_and_witness(tmp_path, capsys):
     assert "entangled" in out
     sol = json.loads((tmp_path / "werner_lam0.solution.json").read_text())
     assert abs(sol["lambda_star"] - 2.0 / 3.0) <= 1e-6
+    assert 0.0 <= sol["pinfeas"] <= 1e-8 and 0.0 <= sol["dinfeas"] <= 1e-8
     wit = sc.read_witness(tmp_path / "werner_lam0.witness.json")
     assert abs(wit.separable_bound - 1.0 / 3.0) <= 1e-6
 
@@ -203,7 +204,13 @@ def test_rerun_determinism(tmp_path):
     ["generate", "werner", "--lambda", 0, "--level", 2],
     ["sweep", "quench-1d", "--n", 6, "--grid", 1, "--scheme", "rotation"],
     ["witness", "eval", "w.json", "d.json", "--tol", 5],
-], ids=["missing-lambda", "generate-level", "sweep-scheme", "witness-eval-tol"])
+    ["certify", "d.json", "--tol", 0],
+    ["certify", "d.json", "--max-iter", 0],
+    ["sweep", "quench-1d", "--n", 6, "--grid", 1, "--tol", 0],
+    ["sweep", "thermal", "--model", "ising", "--n", 4, "--grid", 1, "--max-iter", 0],
+], ids=["missing-lambda", "generate-level", "sweep-scheme", "witness-eval-tol",
+        "certify-tol-zero", "certify-max-iter-zero", "sweep-tol-zero",
+        "sweep-max-iter-zero"])
 def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)

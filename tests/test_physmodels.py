@@ -5,11 +5,10 @@ import pytest
 
 import sepcert as sc
 from sepcert.errors import BadKey, BadNoiseLevel, MissingData, NotDensity, TooLarge
-from sepcert.physmodels import quench_state_vector
 from sepcert.seporacle import make_rng
 
 from oracles import (best_x_state_pair, dense_pauli_string, expm_thermal_correlator,
-                     haar_state)
+                     haar_state, quench_state_vector)
 
 # phi_0(n=8, t=1) computed once with 50-digit mpmath summation of
 # (1/8) sum_k exp(i cos(2 pi k / 8)); imaginary part is exactly zero there.

@@ -13,7 +13,7 @@ import sepcert as sc
 from sepcert._blas import single_blas_thread
 from sepcert.errors import NotEntangled
 from sepcert.momentmat import GENERAL_SCHEME, layout_for
-from sepcert.sdpcore import (InteriorPointSolver, SdpStatus, SolverOptions,
+from sepcert.sdpcore import (BlockSdp, InteriorPointSolver, SdpStatus, SolverOptions,
                              assemble_primal, solve)
 from sepcert.seporacle import make_rng
 
@@ -233,6 +233,43 @@ def test_final_dual_infeasibility_reported():
     res = InteriorPointSolver(SolverOptions(max_iter=2)).solve(problem.reduced)
     assert res.status is SdpStatus.ITERATION_LIMIT
     assert res.dinfeas > opts.feas_tol
+
+
+def test_solution_reports_final_infeasibilities():
+    opts = SolverOptions()
+    sol, _ = sc.certify(sc.werner_dataset(0.0), options=opts)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert 0.0 <= sol.pinfeas <= opts.feas_tol
+    assert 0.0 <= sol.dinfeas <= opts.feas_tol
+
+
+def test_non_finite_data_end_as_numerical_trouble():
+    # The solver's LAPACK calls do not reject NaN or inf; the finiteness test
+    # on each iteration's mu and residuals has to stop the solve.
+    prob = BlockSdp(block_dims=[2], n_vars=1, c=[1.0])
+    prob.add_const(0, 0, 0, 1.0)
+    prob.add_const(0, 0, 1, np.nan)
+    prob.add_coeff(0, 0, 0, 0, 1.0)
+    prob.add_coeff(0, 0, 1, 1, 1.0)
+    res = InteriorPointSolver().solve(prob, keep_trace=True)
+    assert res.status is SdpStatus.NUMERICAL_TROUBLE
+    assert res.iterations <= 2
+    assert not np.isfinite(res.trace[-1]["dinfeas"])
+
+
+def test_indefinite_initial_point_falls_back_to_default_start():
+    # A failed Cholesky (LAPACK info > 0) of G(initial_u) must send the solve
+    # to the default start, which the solve without initial_u also takes.
+    prob = assemble_primal(layout_for(sc.werner_dataset(0.0))).reduced
+    prob.initial_u = None
+    reference = InteriorPointSolver().solve(prob)
+    prob.initial_u = np.array([-1.0])  # the scalar block G_0 = lambda = -1
+    assert np.linalg.eigvalsh(prob.g_of(prob.initial_u)[0])[0] < 0
+    res = InteriorPointSolver().solve(prob)
+    assert res.status is SdpStatus.OPTIMAL
+    assert abs(res.obj - 2.0 / 3.0) <= 1e-6
+    assert res.iterations == reference.iterations
+    assert np.array_equal(res.u, reference.u)
 
 
 def test_bad_solver_options():
