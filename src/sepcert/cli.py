@@ -170,6 +170,7 @@ def cmd_certify(args) -> int:
         "pinfeas": solution.pinfeas,
         "dinfeas": solution.dinfeas,
         "iterations": solution.iterations,
+        "solver_blocks": problem.reduced.block_dims,
         "scheme": layout.scheme.kind.value,
         "level": args.level,
         "verdict": verdict,

@@ -150,7 +150,8 @@ def quench_dataset(amps: QuenchAmplitudes) -> CorrelationDataset:
 
 
 def _site_op(n: int, i: int, local: np.ndarray) -> sp.csr_matrix:
-    return sp.kron(sp.kron(sp.identity(2 ** i, format="csr"), sp.csr_matrix(local)),
+    return sp.kron(sp.kron(sp.identity(2 ** i, format="csr"), sp.csr_matrix(local),
+                           format="csr"),
                    sp.identity(2 ** (n - i - 1), format="csr"), format="csr")
 
 

@@ -339,7 +339,9 @@ class InteriorPointSolver:
     @staticmethod
     def _schur(prob: BlockSdp, w_blocks):
         """Schur matrix <F_t, W F_s W>, exploiting the few-entry structure of
-        the coefficient matrices (W F_s W is a short sum of outer products)."""
+        the coefficient matrices: W F_s W is a short sum of outer products, and
+        its inner products with every F_t are one product with the sparse
+        coefficient map."""
         n = prob.n_vars
         schur = np.zeros((n, n))
         for b, w in enumerate(w_blocks):
@@ -354,9 +356,8 @@ class InteriorPointSolver:
                 lo, hi = bounds[k], bounds[k + 1]
                 left = w[:, tr[lo:hi]] * tval[lo:hi]
                 tt[k] = left @ w[tc[lo:hi], :]
-            gathered = tt[:, tr, tc] * tval  # (npres, nnz)
-            sums = np.add.reduceat(gathered, starts, axis=1)  # (npres, npres)
-            schur[np.ix_(present, present)] += sums
+            # Column s of the product holds <F_t, W F_s W> for every t.
+            schur[:, present] += prob.kmat_t[b] @ tt.reshape(npres, d * d).T
         return 0.5 * (schur + schur.T)
 
     def certificate_projection(self, prob: BlockSdp, x_blocks):
@@ -408,7 +409,9 @@ class SdpProblem:
     ``block_dims`` is [1, dim(Gamma)]; the objective matrix selects the
     scalar block.  ``data_rows`` carry one row per stored correlator entry
     position, ``pauli_rows`` the structural rows (unit entry, per-site
-    quadratic rows, and higher-level substitution/tie rows).
+    quadratic rows, and higher-level substitution/tie rows).  The reduced
+    problem solves Gamma as one block per connected component of its entry
+    pattern; ``gamma_blocks`` holds each component's solver-basis indices.
     """
 
     layout: MomentMatrixLayout
@@ -416,6 +419,7 @@ class SdpProblem:
     data_rows: list
     pauli_rows: list
     reduced: BlockSdp = field(repr=False)
+    gamma_blocks: list = field(repr=False)
 
     @property
     def gamma_dim(self) -> int:
@@ -446,6 +450,36 @@ class SdpProblem:
         s0 = 1.0 - float(np.dot(w_data, self.data_values))
         return [np.array([[s0]]), g]
 
+    def solver_gamma(self, blocks):
+        """Solver-basis Gamma from the reduced problem's per-component blocks
+        (block 0, the scalar block, is not part of Gamma)."""
+        d = self.layout.solver_dim
+        gamma = np.zeros((d, d))
+        for idx, blk in zip(self.gamma_blocks, blocks[1:]):
+            gamma[np.ix_(idx, idx)] = blk
+        return gamma
+
+
+def _components(dim, edges):
+    """Connected components of the graph on range(dim), each a sorted index
+    list, ordered by their smallest index (union-find rooted at the minimum)."""
+    root = list(range(dim))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for r, c in edges:
+        a, b = find(r), find(c)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(dim):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
 
 def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
     """Standard-form program plus its reduced parametrization.
@@ -455,21 +489,34 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
     lambda = 1 with the free moments at their independent-uniform values,
     where every data coupling vanishes and Gamma is the uniform
     product-measure moment matrix.
+
+    Gamma has no entry between two connected components of its entry
+    pattern, so each component is its own block of the reduced problem; the
+    default start is block diagonal, and the iterates are those of one
+    Gamma block.
     """
-    d_solver = layout.solver_dim
     nvars = 1 + layout.free_var_count
     objective = np.zeros(nvars)
     objective[0] = 1.0  # minimize the noise variable
-    reduced = BlockSdp(block_dims=[1, d_solver], n_vars=nvars, c=objective)
+    entries = [(key, expr) for key, expr in sorted(layout.solver_exprs.items())
+               if expr.const or expr.data or expr.vars]
+    gamma_blocks = _components(layout.solver_dim, (key for key, _ in entries))
+    block_of, local = {}, {}
+    for b, idx in enumerate(gamma_blocks, start=1):
+        for k, i in enumerate(idx):
+            block_of[i], local[i] = b, k
+    reduced = BlockSdp(block_dims=[1] + [len(idx) for idx in gamma_blocks],
+                       n_vars=nvars, c=objective)
     reduced.add_coeff(0, 0, 0, 0, 1.0)  # scalar block carries lambda itself
-    for (r, c), expr in sorted(layout.solver_exprs.items()):
+    for (r, c), expr in entries:
+        b, r, c = block_of[r], local[r], local[c]
         if expr.const:
-            reduced.add_const(1, r, c, expr.const)
+            reduced.add_const(b, r, c, expr.const)
         for label, cval, coeff in expr.data:
-            reduced.add_const(1, r, c, coeff * cval)
-            reduced.add_coeff(1, 0, r, c, -coeff * cval)
+            reduced.add_const(b, r, c, coeff * cval)
+            reduced.add_coeff(b, 0, r, c, -coeff * cval)
         for var, coeff in expr.vars:
-            reduced.add_coeff(1, 1 + var, r, c, coeff)
+            reduced.add_coeff(b, 1 + var, r, c, coeff)
     data_rows = []
     for (r, c) in sorted(layout.entry_kind):
         kind = layout.entry_kind[(r, c)]
@@ -484,7 +531,8 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
     reduced.initial_u = initial_u
     reduced.finalize()
     return SdpProblem(layout=layout, block_dims=[1, layout.dim], data_rows=data_rows,
-                      pauli_rows=list(layout.pauli_constraints), reduced=reduced)
+                      pauli_rows=list(layout.pauli_constraints), reduced=reduced,
+                      gamma_blocks=gamma_blocks)
 
 
 # -- solving and certificate extraction -----------------------------------------
@@ -575,8 +623,8 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
     res = solver.solve(problem.reduced, keep_trace=keep_trace)
     layout = problem.layout
 
-    zc = solver.certificate_projection(problem.reduced, res.x_blocks)
-    zbar = _average_over_group(layout, zc[1]) if not layout.is_reduced else zc[1]
+    zc = problem.solver_gamma(solver.certificate_projection(problem.reduced, res.x_blocks))
+    zbar = _average_over_group(layout, zc) if not layout.is_reduced else zc
     w_data, w_pauli, reduced_slack = _extract_multipliers(problem, zbar)
 
     if reduced_slack is None:
@@ -593,7 +641,8 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
     lambda_star = float(res.u[0])
     strong_resid = abs(lambda_star - dual_obj)
 
-    x_star = res.s_blocks  # diag(lambda, Gamma(u)) in standard-form roles
+    # diag(lambda, Gamma(u)) in standard-form roles
+    x_star = [res.s_blocks[0], problem.solver_gamma(res.s_blocks)]
     if layout.is_reduced:
         emat = layout.expansion_matrix()
         x_star = [x_star[0], emat @ x_star[1] @ emat.T]

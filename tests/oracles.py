@@ -6,6 +6,7 @@ states, or brute-force evaluation.
 """
 
 import ctypes
+import dataclasses
 import functools
 
 import numpy as np
@@ -70,6 +71,42 @@ def entangled_state_dataset(n: int, seed, min_lambda=1e-3):
         if sol.lambda_star > min_lambda:
             return ds, sol, prob
     raise AssertionError("no entangled Haar dataset found in 60 draws")
+
+
+def single_block_problem(layout):
+    """The program of ``assemble_primal`` with Gamma solved as one dense block,
+    its reduced form assembled straight from the layout's solver-basis entry
+    expressions."""
+    from sepcert.sdpcore import BlockSdp
+
+    problem = sc.assemble_primal(layout)
+    d = layout.solver_dim
+    split = problem.reduced
+    one = BlockSdp(block_dims=[1, d], n_vars=split.n_vars, c=split.c,
+                   initial_u=split.initial_u)
+    one.add_coeff(0, 0, 0, 0, 1.0)
+    for (r, c), expr in sorted(layout.solver_exprs.items()):
+        if expr.const:
+            one.add_const(1, r, c, expr.const)
+        for _, cval, coeff in expr.data:
+            one.add_const(1, r, c, coeff * cval)
+            one.add_coeff(1, 0, r, c, -coeff * cval)
+        for var, coeff in expr.vars:
+            one.add_coeff(1, 1 + var, r, c, coeff)
+    return dataclasses.replace(problem, reduced=one.finalize(),
+                               gamma_blocks=[list(range(d))])
+
+
+def dense_schur(prob, w_blocks):
+    """Schur matrix sum_b <F_tb, W_b F_sb W_b> from the dense coefficient
+    matrices F_t = A*(e_t), one batched product per block."""
+    n = prob.n_vars
+    coeffs = [prob.apply_at(e) for e in np.eye(n)]
+    out = np.zeros((n, n))
+    for b, w in enumerate(w_blocks):
+        f = np.stack([blocks[b] for blocks in coeffs])
+        out += f.reshape(n, -1) @ (w @ f @ w).reshape(n, -1).T
+    return out
 
 
 def x_state_noise_robustness(phi_i: complex, phi_j: complex) -> float:

@@ -108,6 +108,15 @@ def test_state_dataset_matches_dense_paulis():
             assert abs(v - np.vdot(psi, op @ psi).real) < 1e-12
 
 
+def test_site_operators_store_one_entry_per_row():
+    from sepcert.physmodels import _PAULI, _site_op
+
+    ytil = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for local in (_PAULI[sc.PauliAxis.X].real, ytil, _PAULI[sc.PauliAxis.Z].real):
+        for i in range(10):
+            assert _site_op(10, i, local).nnz == 1024
+
+
 def test_thermal_odd_y_exact_zero():
     ds = sc.thermal_dataset_ed(sc.ModelSpec(kind="ising", n=4, g=0.6), 0.4)
     odd = [v for (_, a), v in ds.one_items() if a is sc.PauliAxis.Y]

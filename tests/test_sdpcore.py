@@ -17,8 +17,8 @@ from sepcert.sdpcore import (BlockSdp, InteriorPointSolver, SdpStatus, SolverOpt
                              assemble_primal, solve)
 from sepcert.seporacle import make_rng
 
-from oracles import (OPENBLAS_SETTERS, blas_thread_counts, drop_entries,
-                     entangled_state_dataset, random_state_dataset)
+from oracles import (OPENBLAS_SETTERS, blas_thread_counts, dense_schur, drop_entries,
+                     entangled_state_dataset, random_state_dataset, single_block_problem)
 
 needs_openblas_setter = pytest.mark.skipif(
     not OPENBLAS_SETTERS, reason="no OpenBLAS exposes openblas_set_num_threads_local")
@@ -85,6 +85,69 @@ def test_assemble_werner_constraints():
     prob = assemble_primal(layout_for(sc.werner_dataset(0.0)))
     assert len(prob.data_rows) == 3
     assert prob.reduced.n_vars == 1  # no free unknowns beyond the noise variable
+
+
+def test_gamma_splits_into_connected_blocks():
+    cases = [
+        (layout_for(sc.quench_dataset(sc.quench_amplitudes(32, 4.0))), [1, 33, 32, 32]),
+        (layout_for(sc.werner_dataset(0.0)), [1, 1, 2, 2, 2]),
+    ]
+    level2 = layout_for(random_state_dataset(3, 601), level=2)
+    cases.append((level2, [1, level2.solver_dim]))
+    for layout, dims in cases:
+        prob = assemble_primal(layout)
+        assert prob.reduced.block_dims == dims
+        assert sorted(i for idx in prob.gamma_blocks for i in idx) == list(
+            range(layout.solver_dim))
+        block_of = {i: b for b, idx in enumerate(prob.gamma_blocks) for i in idx}
+        for (r, c), expr in layout.solver_exprs.items():
+            if expr.const or expr.data or expr.vars:
+                assert block_of[r] == block_of[c], (r, c)
+
+
+def test_split_solve_matches_single_block():
+    for ds in (sc.quench_dataset(sc.quench_amplitudes(32, 4.0)),
+               sc.quench_dataset(sc.quench_amplitudes(32, 10.0)),
+               sc.werner_dataset(0.0)):
+        layout = layout_for(ds)
+        split = solve(assemble_primal(layout))
+        one = solve(single_block_problem(layout))
+        assert split.status is one.status is SdpStatus.OPTIMAL
+        assert split.iterations == one.iterations
+        assert abs(split.lambda_star - one.lambda_star) <= 1e-10
+        assert np.max(np.abs(split.w_data - one.w_data)) <= 1e-8
+        assert np.max(np.abs(split.x_star[1] - one.x_star[1])) <= 1e-8
+
+
+def test_schur_matches_dense_oracle(monkeypatch):
+    # A split quench problem, a level-2 problem and cmc_check's own problem,
+    # taken from the solver's first Schur call.
+    cmc = []
+    schur = InteriorPointSolver._schur
+
+    def recording_schur(prob, w_blocks):
+        cmc.append(prob)
+        return schur(prob, w_blocks)
+
+    monkeypatch.setattr(InteriorPointSolver, "_schur", staticmethod(recording_schur))
+    sc.cmc_check(sc.dataset_of(sc.random_product_state(3, 5)))
+    monkeypatch.undo()
+    problems = [
+        assemble_primal(layout_for(sc.quench_dataset(sc.quench_amplitudes(16, 3.0)))).reduced,
+        assemble_primal(layout_for(random_state_dataset(3, 601), level=2)).reduced,
+        cmc[0],
+    ]
+    assert problems[0].block_dims == [1, 17, 16, 16]
+    assert problems[2].block_dims == [9, 3, 3, 3]
+    rng = make_rng(9)
+    for prob in problems:
+        w_blocks = []
+        for d in prob.block_dims:
+            a = rng.normal(size=(d, d))
+            w_blocks.append(a @ a.T + d * np.eye(d))
+        got = InteriorPointSolver._schur(prob, w_blocks)
+        want = dense_schur(prob, w_blocks)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_duality_identities_on_corpus():
