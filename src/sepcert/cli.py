@@ -169,6 +169,8 @@ def cmd_certify(args) -> int:
         "duality_gap": solution.duality_gap,
         "pinfeas": solution.pinfeas,
         "dinfeas": solution.dinfeas,
+        "dual_feas_residual": solution.dual_feas_residual,
+        "strong_duality_residual": solution.strong_duality_residual,
         "iterations": solution.iterations,
         "solver_blocks": problem.reduced.block_dims,
         "scheme": layout.scheme.kind.value,

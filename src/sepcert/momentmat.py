@@ -368,10 +368,6 @@ class MomentMatrixLayout:
     def solver_dim(self) -> int:
         return len(self.solver_monos)
 
-    @property
-    def is_reduced(self) -> bool:
-        return len(self.solver_monos) != len(self.basis.monomials)
-
     def expansion_matrix(self) -> np.ndarray:
         """E with row m giving the normal-form expansion of the m-th full
         basis monomial over the solver sub-basis (identity at level 1)."""

@@ -13,12 +13,20 @@ exposed problem object and certificates are the standard conic form: data
 rows A_alpha with right-hand side C_alpha, structural (Pauli) rows with
 right-hand sides b_i, dual vectors (w_data, w_pauli), and the dual slack
 identity  M - sum w_alpha A_alpha - sum w_i A_i^Pauli >= 0.
+
+Every certificate is read off the projected dual matrix X of the reduced
+problem, by one formula at every level: w_data from the data terms of the
+entry expressions, and the dual residual and dual objective from X's
+blocks.  w_pauli and the standard-form dual slack exist only when every
+Pauli row is a unit or site row (level 1 without extras); otherwise
+w_pauli is None.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,10 +154,9 @@ class BlockSdp:
 class IpmResult:
     status: SdpStatus
     u: np.ndarray
-    x_blocks: list          # certificate-side matrix (the standard-form dual slack source)
+    x_blocks: list          # certificate-side matrix X, the source of every certificate
     s_blocks: list          # G(u) at the returned u
     obj: float              # c.u
-    cert_obj: float         # -<F0, X>
     gap: float
     pinfeas: float
     dinfeas: float
@@ -329,7 +336,7 @@ class InteriorPointSolver:
         rp = b_vec - prob.apply_a(x)
         return IpmResult(
             status=status, u=u, x_blocks=x, s_blocks=s_final,
-            obj=float(prob.c @ u), cert_obj=-pobj,
+            obj=float(prob.c @ u),
             gap=abs(pobj - dobj),
             pinfeas=float(np.linalg.norm(rp)) / b_norm,
             dinfeas=math.sqrt(sum(float(np.sum((sf - sb) ** 2))
@@ -435,6 +442,9 @@ class SdpProblem:
 
     def dual_slack_blocks(self, w_data, w_pauli):
         """M - sum w_alpha A_alpha - sum w_k A_k^Pauli, per block."""
+        if w_pauli is None:
+            raise ValueError("the standard-form dual slack exists only for layouts whose "
+                             "Pauli rows are all unit and site rows")
         g = np.zeros((self.gamma_dim, self.gamma_dim))
         for w, row in zip(w_data, self.data_rows):
             r, c = row.position
@@ -540,11 +550,20 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
 
 @dataclass
 class SdpSolution:
+    """Optimal value, primal matrices and dual certificate of one solve.
+
+    ``x_star`` is diag(lambda, Gamma) in the full basis.  ``w_data`` holds one
+    multiplier per data row and ``w_pauli`` one per Pauli row, or None when
+    a Pauli row is a substitution or tie row.  ``dual_feas_residual`` is
+    max(0, -lambda_min) over the blocks of the reduced dual matrix, and
+    ``strong_duality_residual`` is |lambda* - (-<F0, X>)|.
+    """
+
     status: SdpStatus
     lambda_star: float
     x_star: list
     w_data: np.ndarray
-    w_pauli: np.ndarray
+    w_pauli: np.ndarray | None
     duality_gap: float
     iterations: int
     w_dot_c: float
@@ -572,47 +591,37 @@ def _average_over_group(layout: MomentMatrixLayout, mat: np.ndarray) -> np.ndarr
 
 
 def _extract_multipliers(problem: SdpProblem, zbar: np.ndarray):
-    """Read the standard-form dual vector off the (group-averaged, projected)
-    certificate matrix.
+    """Read the standard-form dual vector off the group-averaged, projected
+    certificate matrix Z in the solver basis.
 
-    At level 1 every row touches its own positions, so the multipliers are
-    direct entry reads.  At higher levels the full-basis rows force a
-    singular primal (no Slater point), so the dual vector is fit in the
-    facially reduced space: each row matrix is pulled back through the
-    normal-form expansion E and the system is solved by least squares.
-    Returns (w_data, w_pauli, reduced_slack) with reduced_slack None at
-    level 1.
+    Each data label gets w_alpha = -<D_alpha, Z>, where D_alpha is the
+    coefficient of C_alpha in the solver-basis entry expressions, and shares
+    it equally among the data rows that hold the label (one row per label at
+    level 1, where this is the entry read -2 Z[position]).  The Pauli
+    multipliers are entry reads too when every Pauli row is a unit or site
+    row.  Otherwise w_pauli is None: the substitution and tie rows of higher
+    levels and extras have no standard-form certificate, since the full
+    basis has no Slater point.  Returns (w_data, w_pauli).
     """
-    layout = problem.layout
-    if not layout.is_reduced:
-        w_data = np.array([-2.0 * zbar[row.position] for row in problem.data_rows])
-        w_pauli = np.empty(len(problem.pauli_rows))
-        for k, row in enumerate(problem.pauli_rows):
-            if row.tag == "unit":
-                w_pauli[k] = -zbar[0, 0]
-            else:  # per-site quadratic row: the three diagonal entries agree
-                diag = [zbar[r, r] for (r, _), _ in row.entries]
-                w_pauli[k] = -float(np.mean(diag))
-        return w_data, w_pauli, None
-    emat = layout.expansion_matrix()
-    ds_dim = layout.solver_dim
-    row_mats = []
-    for row in problem.data_rows:
-        r, c = row.position
-        m = 0.5 * (np.outer(emat[r], emat[c]) + np.outer(emat[c], emat[r]))
-        row_mats.append(m)
-    for row in problem.pauli_rows:
-        m = np.zeros((ds_dim, ds_dim))
-        for (r, c), coeff in row.entries:
-            m += 0.5 * coeff * (np.outer(emat[r], emat[c]) + np.outer(emat[c], emat[r]))
-        row_mats.append(m)
-    iu = np.triu_indices(ds_dim)
-    amat = np.stack([m[iu] for m in row_mats], axis=1)
-    rhs = -zbar[iu]
-    sol, *_ = np.linalg.lstsq(amat, rhs, rcond=None)
-    slack = -sum(w * m for w, m in zip(sol, row_mats))
-    nd = len(problem.data_rows)
-    return sol[:nd], sol[nd:], slack
+    # A correlator is odd in some Bloch component and a diagonal entry's
+    # moment is even in all, so data terms sit off the diagonal only.
+    per_label = {}
+    for (r, c), expr in problem.layout.solver_exprs.items():
+        for label, _, coeff in expr.data:
+            per_label[label] = per_label.get(label, 0.0) + coeff * zbar[r, c]
+    rows = Counter(row.label for row in problem.data_rows)
+    w_data = np.array([-2.0 * per_label[row.label] / rows[row.label]
+                       for row in problem.data_rows])
+    if any(row.tag not in ("unit", "site") for row in problem.pauli_rows):
+        return w_data, None
+    w_pauli = np.empty(len(problem.pauli_rows))
+    for k, row in enumerate(problem.pauli_rows):
+        if row.tag == "unit":
+            w_pauli[k] = -zbar[0, 0]
+        else:  # per-site quadratic row: the three diagonal entries agree
+            diag = [zbar[r, r] for (r, _), _ in row.entries]
+            w_pauli[k] = -float(np.mean(diag))
+    return w_data, w_pauli
 
 
 @single_blas_thread()
@@ -623,29 +632,19 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
     res = solver.solve(problem.reduced, keep_trace=keep_trace)
     layout = problem.layout
 
-    zc = problem.solver_gamma(solver.certificate_projection(problem.reduced, res.x_blocks))
-    zbar = _average_over_group(layout, zc) if not layout.is_reduced else zc
-    w_data, w_pauli, reduced_slack = _extract_multipliers(problem, zbar)
+    xproj = solver.certificate_projection(problem.reduced, res.x_blocks)
+    zbar = _average_over_group(layout, problem.solver_gamma(xproj))
+    w_data, w_pauli = _extract_multipliers(problem, zbar)
 
-    if reduced_slack is None:
-        slack = problem.dual_slack_blocks(w_data, w_pauli)
-        min_eig_slack = min(float(slack[0][0, 0]),
-                            float(np.linalg.eigvalsh(0.5 * (slack[1] + slack[1].T))[0]))
-    else:
-        s0 = 1.0 - float(np.dot(w_data, problem.data_values))
-        min_eig_slack = min(
-            s0, float(np.linalg.eigvalsh(0.5 * (reduced_slack + reduced_slack.T))[0]))
-    dual_resid = max(0.0, -min_eig_slack)
+    dual_resid = max(0.0, -min(float(np.linalg.eigvalsh(blk)[0]) for blk in xproj))
     w_dot_c = float(np.dot(w_data, problem.data_values))
-    dual_obj = w_dot_c + float(np.dot(w_pauli, problem.pauli_rhs))
+    dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(problem.reduced.f0, xproj))
     lambda_star = float(res.u[0])
     strong_resid = abs(lambda_star - dual_obj)
 
-    # diag(lambda, Gamma(u)) in standard-form roles
-    x_star = [res.s_blocks[0], problem.solver_gamma(res.s_blocks)]
-    if layout.is_reduced:
-        emat = layout.expansion_matrix()
-        x_star = [x_star[0], emat @ x_star[1] @ emat.T]
+    # diag(lambda, Gamma(u)) in standard-form roles, Gamma in the full basis
+    emat = layout.expansion_matrix()
+    x_star = [res.s_blocks[0], emat @ problem.solver_gamma(res.s_blocks) @ emat.T]
     min_eig_x = min(float(np.linalg.eigvalsh(0.5 * (blk + blk.T))[0]) for blk in x_star)
 
     status = res.status

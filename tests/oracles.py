@@ -97,6 +97,34 @@ def single_block_problem(layout):
                                gamma_blocks=[list(range(d))])
 
 
+def lstsq_label_coefficients(problem, z):
+    """Per-label witness coefficients from a least-squares fit of the
+    standard-form dual vector to the solver-basis certificate matrix z.
+
+    Every data and Pauli row matrix of the full basis is pulled back through
+    the normal-form expansion E, and the vector whose combination of those
+    matrices comes closest to -z is taken; the data multipliers are then
+    summed per label.
+    """
+    emat = problem.layout.expansion_matrix()
+    row_mats = []
+    for row in problem.data_rows:
+        r, c = row.position
+        row_mats.append(0.5 * (np.outer(emat[r], emat[c]) + np.outer(emat[c], emat[r])))
+    for row in problem.pauli_rows:
+        m = np.zeros_like(z)
+        for (r, c), coeff in row.entries:
+            m += 0.5 * coeff * (np.outer(emat[r], emat[c]) + np.outer(emat[c], emat[r]))
+        row_mats.append(m)
+    iu = np.triu_indices(z.shape[0])
+    amat = np.stack([m[iu] for m in row_mats], axis=1)
+    sol = np.linalg.lstsq(amat, -z[iu], rcond=None)[0]
+    coeffs = {}
+    for w, row in zip(sol, problem.data_rows):
+        coeffs[row.label] = coeffs.get(row.label, 0.0) + float(w)
+    return coeffs
+
+
 def dense_schur(prob, w_blocks):
     """Schur matrix sum_b <F_tb, W_b F_sb W_b> from the dense coefficient
     matrices F_t = A*(e_t), one batched product per block."""

@@ -18,7 +18,8 @@ from sepcert.sdpcore import (BlockSdp, InteriorPointSolver, SdpStatus, SolverOpt
 from sepcert.seporacle import make_rng
 
 from oracles import (OPENBLAS_SETTERS, blas_thread_counts, dense_schur, drop_entries,
-                     entangled_state_dataset, random_state_dataset, single_block_problem)
+                     entangled_state_dataset, lstsq_label_coefficients,
+                     random_state_dataset, single_block_problem)
 
 needs_openblas_setter = pytest.mark.skipif(
     not OPENBLAS_SETTERS, reason="no OpenBLAS exposes openblas_set_num_threads_local")
@@ -223,6 +224,43 @@ def test_hybrid_extras_monotone():
     sol_h, _ = sc.certify(ds, extras=extras)
     assert sol_h.status is SdpStatus.OPTIMAL
     assert sol_h.lambda_star >= sol1.lambda_star - 1e-7
+
+
+def test_extras_with_tie_rows_certify_optimal():
+    # The extras add tie rows, which have no standard-form multiplier; the
+    # certificate comes from the reduced dual matrix, whose residual is zero.
+    from sepcert.momentmat import Monomial
+    extras = [Monomial(((0, 0), (1, 0), (2, 0))), Monomial(((0, 1), (1, 0), (2, 0))),
+              Monomial(((0, 0), (1, 1), (2, 1)))]
+    for seed in (400, 401):
+        ds, sol1, _ = entangled_state_dataset(3, seed)
+        sol, prob = sc.certify(ds, extras=extras)
+        assert "tie" in {row.tag for row in prob.pauli_rows}
+        assert sol.status is SdpStatus.OPTIMAL
+        assert abs(sol.lambda_star - sol1.lambda_star) <= 1e-7
+        assert sol.w_pauli is None
+        assert sol.dual_feas_residual <= 1e-8
+
+
+def test_label_coefficients_match_lstsq_oracle():
+    datasets = [random_state_dataset(3, seed) for seed in (601, 602, 603, 604)]
+    datasets.append(drop_entries(random_state_dataset(3, 605), 0.3, 605))
+    for ds in datasets:
+        problem = assemble_primal(layout_for(ds, level=2))
+        solver = InteriorPointSolver()
+        res = solver.solve(problem.reduced)
+        z = problem.solver_gamma(solver.certificate_projection(problem.reduced, res.x_blocks))
+        want = lstsq_label_coefficients(problem, z)
+        sol = solve(problem)
+        assert sol.status is SdpStatus.OPTIMAL
+        got = sc.extract_witness(sol, problem).coefficients
+        assert got.keys() == want.keys()
+        assert max(abs(got[lbl] - want[lbl]) for lbl in want) <= 1e-10
+        assert sol.dual_feas_residual <= 1e-8
+        assert sol.strong_duality_residual <= 1e-6
+        assert abs(sol.w_dot_c - 1.0) <= 1e-6
+    with pytest.raises(ValueError, match="unit and site"):
+        problem.dual_slack_blocks(sol.w_data, sol.w_pauli)
 
 
 def test_pt_invariance():
