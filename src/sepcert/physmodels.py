@@ -1,9 +1,9 @@
 """Dataset generators for desk-reproducible physical scenarios.
 
 Covers the noisy-singlet (Werner) pair, the single-flip quench on an XX ring,
-thermal states of small Heisenberg / transverse-field Ising chains by dense
-exact diagonalization, structure factors, and two-qubit concurrence
-diagnostics.
+thermal states of small Heisenberg / transverse-field Ising chains by exact
+diagonalization per symmetry sector, structure factors, and two-qubit
+concurrence diagnostics.
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ from .corrdata import AXES, CorrelationDataset, PauliAxis, two_body_label
 from .errors import (BadKey, BadNoiseLevel, MissingData, NotDensity,
                      NotNormalized, TooLarge)
 
-ED_SITE_CAP = 14           # dense 2^n diagonalization cap
+ED_SITE_CAP = 14           # chain length cap: states and Gibbs states are dense 2^n arrays
 ED_TEMPERATURE_FLOOR = 1e-3
 _CLEAN_TOL = 1e-13         # ED values below this are rounded to exact zero
-
-_PAULI = {
-    PauliAxis.X: np.array([[0.0, 1.0], [1.0, 0.0]]),
-    PauliAxis.Y: np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    PauliAxis.Z: np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
 
 
 class ModelKind(str, enum.Enum):
@@ -147,49 +141,115 @@ def quench_dataset(amps: QuenchAmplitudes) -> CorrelationDataset:
 
 
 # -- exact diagonalization of thermal chains ---------------------------------
+#
+# Basis state x holds site i in bit n-1-i (site 0 the most significant bit),
+# a set bit being spin down.  A Pauli string with Y replaced by its real
+# stand-in ytil = -iY = XZ acts on basis states by bit operations: it maps
+# x to x ^ flip, flip holding the X and Y sites, with the sign (-1) to the
+# number of set Z and Y bits of x.  Its matrix has one +-1 entry per row.
 
 
-def _site_op(n: int, i: int, local: np.ndarray) -> sp.csr_matrix:
-    return sp.kron(sp.kron(sp.identity(2 ** i, format="csr"), sp.csr_matrix(local),
-                           format="csr"),
-                   sp.identity(2 ** (n - i - 1), format="csr"), format="csr")
+def _site_signs(n: int) -> np.ndarray:
+    """signs[i, x] = +1 if site i is up in basis state x, -1 if it is down."""
+    x = np.arange(1 << n)
+    return 1.0 - 2.0 * ((x >> np.arange(n - 1, -1, -1)[:, None]) & 1)
 
 
-def _pair_op(n: int, i: int, j: int, ax_i: PauliAxis, ax_j: PauliAxis) -> sp.csr_matrix:
-    return _site_op(n, i, _PAULI[ax_i]) @ _site_op(n, j, _PAULI[ax_j])
+def _string_rows(n: int, factors: dict, signs: np.ndarray):
+    """The real stand-in of the Pauli string {site: axis} as (cols, vals):
+    row y has its one entry vals[y] at column cols[y] = y ^ flip."""
+    flip = 0
+    vals = np.ones(1 << n)
+    for site, axis in factors.items():
+        if axis is not PauliAxis.Z:
+            flip |= 1 << (n - 1 - site)
+        if axis is not PauliAxis.X:
+            vals = vals * signs[site]
+        if axis is PauliAxis.Y:  # the sign is read off the column, whose Y bit is flipped
+            vals = -vals
+    return np.arange(1 << n) ^ flip, vals
+
+
+def _chain_terms(spec: ModelSpec):
+    """(scale, [(weight, factors)]): H = scale * sum weight * string."""
+    n = spec.n
+    bonds = [(i, (i + 1) % n) for i in range(n)]  # n = 2 counts its one bond twice
+    if spec.kind is ModelKind.HEISENBERG:
+        return spec.J / 4.0, [(1.0, {i: a, j: a}) for i, j in bonds for a in AXES]
+    return -spec.J / 4.0, ([(1.0, {i: PauliAxis.Z, j: PauliAxis.Z}) for i, j in bonds]
+                           + [(spec.g, {i: PauliAxis.X}) for i in range(n)])
 
 
 def hamiltonian(spec: ModelSpec) -> sp.csr_matrix:
-    """Sparse periodic-chain Hamiltonian (real for both supported models)."""
+    """Sparse periodic-chain Hamiltonian (real for both supported models),
+    summed from the bit action of its Pauli strings."""
     n = spec.n
-    h = sp.csr_matrix((2 ** n, 2 ** n))
+    signs = _site_signs(n)
+    scale, terms = _chain_terms(spec)
+    cols, data = [], []
+    for weight, factors in terms:
+        c, vals = _string_rows(n, factors, signs)
+        n_y = sum(a is PauliAxis.Y for a in factors.values())  # even here: i^n_y = +-1
+        cols.append(c)
+        data.append(weight * (-1) ** (n_y // 2) * vals)
+    rows = np.tile(np.arange(1 << n), len(terms))
+    h = sp.csr_matrix((np.concatenate(data), (rows, np.concatenate(cols))),
+                      shape=(1 << n, 1 << n))  # sums the entries strings share
+    h.eliminate_zeros()  # XX + YY cancels where the two bits agree
+    return scale * h
+
+
+def _sector_basis(spec: ModelSpec):
+    """Real orthonormal basis Q that block-diagonalizes H, as a sparse matrix,
+    and the column range of each symmetry sector.
+
+    Both models commute with the global flip P = prod_i X_i, which maps
+    basis state s to its complement 2^n - 1 - s.  Over the states s with
+    site 0 up, the columns (|s> + |s-bar>)/sqrt2 span P = +1 and
+    (|s> - |s-bar>)/sqrt2 span P = -1.  The Heisenberg chain also conserves
+    S^z; P maps popcount k to n - k, so min(k, n - k) splits each P sector
+    further (n = 10: blocks of 1, 10, 45, 120, 210, 126 per P sector).
+    """
+    n = spec.n
+    dim, half = 1 << n, 1 << (n - 1)
+    key = np.zeros(half, dtype=int)
     if spec.kind is ModelKind.HEISENBERG:
-        for i in range(n):
-            j = (i + 1) % n
-            for a in AXES:
-                h = h + _pair_op(n, min(i, j), max(i, j), a, a)
-        return (spec.J / 4.0) * h.real
-    for i in range(n):
-        j = (i + 1) % n
-        h = h + _pair_op(n, min(i, j), max(i, j), PauliAxis.Z, PauliAxis.Z)
-        h = h + spec.g * _site_op(n, i, _PAULI[PauliAxis.X])
-    return (-spec.J / 4.0) * h.real
+        down = (_site_signs(n)[:, :half] < 0).sum(axis=0)
+        key = np.minimum(down, n - down)
+    reps = np.argsort(key, kind="stable")
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(key[reps])) + 1, [half]])
+    col = np.arange(half)
+    q = sp.csr_matrix(
+        (np.concatenate([np.ones(3 * half), -np.ones(half)]) / np.sqrt(2.0),
+         (np.concatenate([reps, dim - 1 - reps] * 2),
+          np.concatenate([col, col, half + col, half + col]))),
+        shape=(dim, dim))
+    sectors = [(off + lo, off + hi) for off in (0, half) for lo, hi in zip(edges[:-1], edges[1:])]
+    return q, sectors
 
 
 def thermal_density(spec: ModelSpec, temperature: float) -> np.ndarray:
     """Gibbs state exp(-H/T)/Z as a dense real matrix.
 
-    Temperatures below the 1e-3 floor are raised to it, standing in for the
-    T -> 0 limit without ground-state degeneracy branches.
+    H is diagonalized one symmetry sector at a time (see ``_sector_basis``);
+    the Gibbs state is Q R Q^T with R the block-diagonal Gibbs state in the
+    sector basis Q.  Temperatures below the 1e-3 floor are raised to it,
+    standing in for the T -> 0 limit without ground-state degeneracy branches.
     """
     if temperature <= 0:
         raise BadNoiseLevel(f"temperature must be > 0, got {temperature}")
     T = max(float(temperature), ED_TEMPERATURE_FLOOR)
-    h = hamiltonian(spec).toarray()
-    evals, evecs = np.linalg.eigh(h)
-    w = np.exp(-(evals - evals[0]) / T)
-    w /= w.sum()
-    return (evecs * w) @ evecs.T
+    q, sectors = _sector_basis(spec)
+    hq = (q.T @ hamiltonian(spec) @ q).tocsr()
+    eigs = [np.linalg.eigh(hq[lo:hi, lo:hi].toarray()) for lo, hi in sectors]
+    e0 = min(evals[0] for evals, _ in eigs)
+    weights = [np.exp(-(evals - e0) / T) for evals, _ in eigs]
+    z = sum(w.sum() for w in weights)
+    r = np.zeros(q.shape)
+    for (lo, hi), (_, evecs), w in zip(sectors, eigs, weights):
+        r[lo:hi, lo:hi] = (evecs * (w / z)) @ evecs.T
+    r = q @ r                # Q R; R is symmetric, so Q R Q^T = Q (Q R)^T
+    return q @ r.T
 
 
 def _clean(v) -> float:
@@ -201,33 +261,28 @@ def _correlators(state: np.ndarray, n: int):
     """Every one- and two-body correlator of a state vector or density matrix
     on n sites, as (one, two) dicts of cleaned values.
 
-    The site operators are real stand-ins, X, ytil and Z with Y = i * ytil;
-    each expectation value is multiplied by i^(number of Y factors) and its
-    real part kept.  For a real density matrix every correlator with an odd
-    number of Y factors therefore comes out as exact zero.
+    Each string acts through its real stand-in, with Y = i * ytil (see
+    ``_string_rows``); each expectation value is multiplied by
+    i^(number of Y factors) and its real part kept.  For a real density
+    matrix every correlator with an odd number of Y factors therefore comes
+    out as exact zero.
     """
-    ytil = np.array([[0.0, -1.0], [1.0, 0.0]])
-    site = {(i, a): _site_op(n, i, ytil if a is PauliAxis.Y else _PAULI[a].real)
-            for i in range(n) for a in AXES}
+    signs = _site_signs(n)
+    rows = np.arange(1 << n)
     if state.ndim == 1:
-        def expval(op):
-            return np.vdot(state, op @ state)
+        def expval(cols, vals):
+            return np.vdot(state, vals * state[cols])
     else:
-        def expval(op):  # Tr[rho op], summed in tocoo() order without building a COO matrix
-            rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-            return np.sum(op.data * state[op.indices, rows])
+        def expval(cols, vals):  # Tr[rho op] = sum_y op[y, cols[y]] rho[cols[y], y]
+            return np.sum(vals * state[cols, rows])
 
-    def value(op, n_y):
-        return _clean(np.real((1, 1j, -1)[n_y] * expval(op)))
+    def value(factors):
+        n_y = sum(a is PauliAxis.Y for a in factors.values())
+        return _clean(np.real((1, 1j, -1)[n_y] * expval(*_string_rows(n, factors, signs))))
 
-    one = {(i, a): value(site[(i, a)], a is PauliAxis.Y) for i in range(n) for a in AXES}
-    two = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in AXES:
-                for b in AXES:
-                    two[(i, j, a, b)] = value(site[(i, a)] @ site[(j, b)],
-                                              (a is PauliAxis.Y) + (b is PauliAxis.Y))
+    one = {(i, a): value({i: a}) for i in range(n) for a in AXES}
+    two = {(i, j, a, b): value({i: a, j: b})
+           for i in range(n) for j in range(i + 1, n) for a in AXES for b in AXES}
     return one, two
 
 
@@ -405,7 +460,8 @@ def pair_density_from_quench(amps: QuenchAmplitudes, i: int, j: int,
     return check_two_qubit_density(rho)
 
 
-_YY = np.kron(_PAULI[PauliAxis.Y], _PAULI[PauliAxis.Y])
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_Y, _Y)
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:

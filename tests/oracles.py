@@ -176,15 +176,35 @@ def dense_pauli_string(n, factors):
     return functools.reduce(np.kron, mats)
 
 
+def dense_chain_hamiltonian(spec):
+    """Dense 2^n matrix of the periodic chain Hamiltonian, summed term by term
+    from dense Pauli strings; bond (n-1, 0) closes the ring, so n = 2 counts
+    its one bond twice."""
+    n = spec.n
+    bonds = [(i, (i + 1) % n) for i in range(n)]
+    if spec.kind is sc.ModelKind.HEISENBERG:
+        total = sum(dense_pauli_string(n, {i: a, j: a}) for i, j in bonds for a in sc.AXES)
+        return (spec.J / 4.0) * total
+    total = (sum(dense_pauli_string(n, {i: "Z", j: "Z"}) for i, j in bonds)
+             + spec.g * sum(dense_pauli_string(n, {i: "X"}) for i in range(n)))
+    return (-spec.J / 4.0) * total
+
+
+def dense_thermal_density(spec, temperature):
+    """Gibbs state by one full-space diagonalization of the dense Hamiltonian."""
+    evals, evecs = np.linalg.eigh(dense_chain_hamiltonian(spec).real)
+    w = np.exp(-(evals - evals[0]) / max(temperature, 1e-3))
+    w /= w.sum()
+    return (evecs * w) @ evecs.T
+
+
 def expm_thermal_correlator(spec, temperature, i, j, axis):
     """Second exact-diagonalization route: Gibbs state via the dense matrix
     exponential instead of the spectral decomposition, and the pair operator
     as a dense Kronecker product."""
     import scipy.linalg as sla
-    from sepcert.physmodels import hamiltonian
 
-    h = hamiltonian(spec).toarray()
-    rho = sla.expm(-h / max(temperature, 1e-3))
+    rho = sla.expm(-dense_chain_hamiltonian(spec).real / max(temperature, 1e-3))
     rho /= np.trace(rho)
     op = dense_pauli_string(spec.n, {i: axis, j: axis})
     return float(np.real(np.sum(rho.T * op)))

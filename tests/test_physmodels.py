@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepcert as sc
 from sepcert.errors import BadKey, BadNoiseLevel, MissingData, NotDensity, TooLarge
 from sepcert.seporacle import make_rng
 
-from oracles import (best_x_state_pair, dense_pauli_string, expm_thermal_correlator,
-                     haar_state, quench_state_vector)
+from oracles import (best_x_state_pair, dense_chain_hamiltonian, dense_pauli_string,
+                     dense_thermal_density, expm_thermal_correlator, haar_state,
+                     quench_state_vector)
 
 # phi_0(n=8, t=1) computed once with 50-digit mpmath summation of
 # (1/8) sum_k exp(i cos(2 pi k / 8)); imaginary part is exactly zero there.
@@ -108,13 +111,59 @@ def test_state_dataset_matches_dense_paulis():
             assert abs(v - np.vdot(psi, op @ psi).real) < 1e-12
 
 
-def test_site_operators_store_one_entry_per_row():
-    from sepcert.physmodels import _PAULI, _site_op
+def test_string_action_matches_dense_paulis():
+    # every one- and two-site string at n=4, acting by bit operations with Y
+    # through its real stand-in ytil = -iY, against the dense Kronecker product
+    from sepcert.physmodels import _site_signs, _string_rows
 
-    ytil = np.array([[0.0, -1.0], [1.0, 0.0]])
-    for local in (_PAULI[sc.PauliAxis.X].real, ytil, _PAULI[sc.PauliAxis.Z].real):
-        for i in range(10):
-            assert _site_op(10, i, local).nnz == 1024
+    n = 4
+    signs = _site_signs(n)
+    strings = [{i: a} for i in range(n) for a in sc.AXES]
+    strings += [{i: a, j: b} for i in range(n) for j in range(i + 1, n)
+                for a in sc.AXES for b in sc.AXES]
+    for factors in strings:
+        cols, vals = _string_rows(n, factors, signs)
+        standin = np.zeros((2 ** n, 2 ** n))
+        standin[np.arange(2 ** n), cols] = vals
+        n_y = sum(a is sc.PauliAxis.Y for a in factors.values())
+        assert np.array_equal(1j ** n_y * standin, dense_pauli_string(n, factors)), factors
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "ising"])
+def test_hamiltonian_matches_dense_pauli_sum(kind):
+    from sepcert.physmodels import hamiltonian
+
+    for n in range(2, 7):
+        spec = sc.ModelSpec(kind=kind, n=n, g=0.7, J=1.3)
+        dense = dense_chain_hamiltonian(spec)
+        assert not np.any(dense.imag)
+        assert np.max(np.abs(hamiltonian(spec).toarray() - dense.real)) == 0.0
+    # the two-site ring counts its one bond twice
+    axes, scale = (sc.AXES, 0.25) if kind == "heisenberg" else (["Z"], -0.25)
+    bond = sum(dense_pauli_string(2, {0: a, 1: a}) for a in axes).real
+    assert np.array_equal(hamiltonian(sc.ModelSpec(kind=kind, n=2)).toarray(), 2 * scale * bond)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["heisenberg", "ising"]), n=st.integers(2, 8),
+       g=st.floats(0.0, 2.0), log_t=st.floats(-3.0, 3.0))
+def test_thermal_dataset_matches_dense_oracle(kind, n, g, log_t):
+    spec = sc.ModelSpec(kind=kind, n=n, g=g)
+    temp = 10.0 ** log_t
+    ds = sc.thermal_dataset_ed(spec, temp)
+    rho = dense_thermal_density(spec, temp)
+    for (i, a), v in ds.one_items():
+        assert abs(v - np.sum(rho.T * dense_pauli_string(n, {i: a})).real) <= 1e-12
+        if a is sc.PauliAxis.Y:
+            assert v == 0.0
+    for (i, j, a, b), v in ds.two_items():
+        assert abs(v - np.sum(rho.T * dense_pauli_string(n, {i: a, j: b})).real) <= 1e-12
+        if (a is sc.PauliAxis.Y) != (b is sc.PauliAxis.Y):
+            assert v == 0.0
+    if kind == "heisenberg":
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert ds.two(i, j, "X", "X") == ds.two(i, j, "Y", "Y") == ds.two(i, j, "Z", "Z")
 
 
 def test_thermal_odd_y_exact_zero():
