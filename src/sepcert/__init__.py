@@ -16,11 +16,10 @@ from .errors import (BadKey, BadNoiseLevel, BadSize, MissingData, NotDensity,
                      NotEntangled, NotNormalized, ParseError, SchemeMismatch,
                      SepcertError, SolverFailure, TooLarge, ValueOutOfRange,
                      WrongSize)
-from .momentmat import (GENERAL_SCHEME, Constant, Data, EntryConstraint,
-                        FreeVar, MomentMatrixLayout, Monomial, MonomialBasis,
-                        SchemeKind, SymmetryScheme, Zero, build_layout,
-                        closed_form_check, layout_for, monomial_basis,
-                        select_scheme)
+from .momentmat import (GENERAL_SCHEME, Constant, Data, FreeVar,
+                        MomentMatrixLayout, Monomial, MonomialBasis, SchemeKind,
+                        SymmetryScheme, Zero, build_layout, closed_form_check,
+                        layout_for, monomial_basis, select_scheme)
 from .physmodels import (ModelKind, ModelSpec, OptimalStructureWitness,
                          QuenchAmplitudes, StructureFactorValue,
                          commensurate_grid, concurrence_noise_robustness,

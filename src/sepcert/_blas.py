@@ -1,11 +1,12 @@
-"""One BLAS thread for the interior-point solver, whose small dense kernels
-lose more to OpenBLAS worker threads (numpy's and scipy's, bundled apart)
-than they gain.  ``dlsym`` on a linalg extension's handle also searches its
-dependencies, so it reaches the OpenBLAS the package bundles.  Builds
-without ``openblas_set_num_threads_local`` are left alone.  The pthreads
-builds in the wheels apply that setter to the whole process, so
-overlapping scopes share one count: the first to enter saves the previous
-values, the last to leave restores them.
+"""One BLAS thread for the interior-point solver and for the per-sector
+exact diagonalization of the thermal chains, whose dense kernels (blocks of
+at most 512 at n = 10) lose more to OpenBLAS worker threads (numpy's and
+scipy's, bundled apart) than they gain.  ``dlsym`` on a linalg extension's
+handle also searches its dependencies, so it reaches the OpenBLAS the
+package bundles.  Builds without ``openblas_set_num_threads_local`` are left
+alone.  The pthreads builds in the wheels apply that setter to the whole
+process, so overlapping scopes share one count: the first to enter saves
+the previous values, the last to leave restores them.
 """
 
 import contextlib

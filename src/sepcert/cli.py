@@ -76,7 +76,7 @@ def _solver_flags(parser):
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(gap_tol=args.tol, feas_tol=args.tol, max_iter=args.max_iter)
+    return SolverOptions(tol=args.tol, max_iter=args.max_iter)
 
 
 def _scheme_of(args):

@@ -158,16 +158,6 @@ class CorrelationDataset:
     def n_entries(self) -> int:
         return len(self._one) + len(self._two)
 
-    def has_one(self, i, axis) -> bool:
-        return (int(i), PauliAxis.coerce(axis)) in self._one
-
-    def has_two(self, i, j, ax_i, ax_j) -> bool:
-        try:
-            key = _canonical_pair(int(i), int(j), PauliAxis.coerce(ax_i), PauliAxis.coerce(ax_j))
-        except BadKey:
-            return False
-        return key in self._two
-
     def one(self, i, axis) -> float:
         key = (int(i), PauliAxis.coerce(axis))
         try:

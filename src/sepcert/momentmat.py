@@ -2,9 +2,10 @@
 
 The moment matrix collects expectations of products of classical Bloch
 variables.  A layout classifies every entry as a constant, a dataset value
-(scaled by the noise variable), a free unknown, or a forced zero, and records
-the per-site quadratic constraint x_i^2 + y_i^2 + z_i^2 = 1 together with its
-higher-level substitution forms.
+(scaled by the noise variable), a free unknown, or a forced zero, and gives
+each entry of the solver basis its affine expression over the independent
+unknowns.  The per-site quadratic constraint x_i^2 + y_i^2 + z_i^2 = 1 is
+built into those expressions: a square z_i^2 is written as 1 - x_i^2 - y_i^2.
 """
 
 from __future__ import annotations
@@ -310,16 +311,6 @@ class Zero:
 
 
 @dataclass(frozen=True)
-class EntryConstraint:
-    """Linear equation sum(coeff * Gamma[r, c]) = rhs over entry positions."""
-
-    tag: str                 # 'unit' | 'site' | 'subst' | 'tie'
-    entries: tuple           # (((r, c), coeff), ...)
-    rhs: float
-    site: int = -1
-
-
-@dataclass(frozen=True)
 class EntryExpr:
     """Affine value of one entry: const + sum(coeff*(1-lam)*C_label) + sum(coeff*u_var)."""
 
@@ -334,8 +325,7 @@ class MomentMatrixLayout:
 
     ``entry_kind`` maps canonical positions (r <= c) to Constant / Data /
     FreeVar / Zero; ``free_var_count`` counts the independent unknowns after
-    tie-merging and per-site elimination through the quadratic constraint,
-    which the registered ``pauli_constraints`` keep explicit.
+    tie-merging and per-site elimination through the quadratic constraint.
 
     At levels >= 2 the full basis contains {1, x_i^2, y_i^2, z_i^2}, which
     are linearly dependent on the sphere, so every valid moment matrix is
@@ -349,13 +339,9 @@ class MomentMatrixLayout:
     scheme: SymmetryScheme
     n_sites: int
     entry_kind: dict
-    pauli_constraints: list
     free_var_count: int
-    # internal: affine entry expressions over the reduced variables
-    exprs: dict = field(repr=False, default_factory=dict)
+    # internal: the unknowns' monomials and the solver-basis entry expressions
     var_reps: list = field(repr=False, default_factory=list)
-    moment_positions: dict = field(repr=False, default_factory=dict)
-    entry_moment: dict = field(repr=False, default_factory=dict)
     solver_monos: tuple = field(repr=False, default=())
     solver_exprs: dict = field(repr=False, default_factory=dict)
     expansion: list = field(repr=False, default_factory=list)
@@ -392,38 +378,6 @@ class MomentMatrixLayout:
             tgt[i] = index[m2]
             sgn[i] = m.flip_sign({a for a in range(3) if signs[a] == -1})
         return tgt, sgn
-
-    def gamma_completion(self, moment_fn, lam: float = 0.0) -> np.ndarray:
-        """Dense Gamma with every free entry set to the (group-averaged)
-        classical moment supplied by ``moment_fn``; data entries carry their
-        stored values scaled by (1 - lam)."""
-        group = self.scheme.group_elements()
-        cache = {}
-
-        def averaged(m):
-            if m not in cache:
-                vals = []
-                for perm, signs in group:
-                    m2 = m.relabel_axes(perm)
-                    s = m.flip_sign({a for a in range(3) if signs[a] == -1})
-                    vals.append(s * moment_fn(m2))
-                cache[m] = float(np.mean(vals))
-            return cache[m]
-
-        D = self.dim
-        gamma = np.zeros((D, D))
-        for (r, c), kind in self.entry_kind.items():
-            if isinstance(kind, Constant):
-                v = kind.value
-            elif isinstance(kind, Data):
-                expr = self.exprs[(r, c)]
-                v = sum(cf * (1.0 - lam) * cval for _, cval, cf in expr.data)
-            elif isinstance(kind, Zero):
-                v = 0.0
-            else:
-                v = averaged(self.entry_moment[(r, c)])
-            gamma[r, c] = gamma[c, r] = v
-        return gamma
 
     def render_grid(self) -> str:
         """Compact text grid of entry kinds: 1 constant-one, C constant,
@@ -497,7 +451,6 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
     check_scheme_valid(ds, scheme)
 
     monos = basis.monomials
-    index = basis.index()
     D = len(monos)
     n = ds.n_sites
     group = scheme.group_elements()
@@ -517,14 +470,6 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
                     f"nothing beyond the normal-form monomials of its expansion, "
                     f"which should be supplied as extras instead")
 
-    entry_moment = {}
-    moment_positions = {}
-    for r in range(D):
-        for c in range(r, D):
-            m = monos[r] * monos[c]
-            entry_moment[(r, c)] = m
-            moment_positions.setdefault(m, []).append((r, c))
-
     sq = {(i, a): Monomial(((i, a), (i, a))) for i in range(n) for a in range(3)}
 
     # Reduced (internal) variables: one per representative monomial.
@@ -538,7 +483,7 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
         return var_index[rep]
 
     # Public FreeVar ids: one per representative monomial, including the
-    # per-site dependent square bound by the Pauli row.
+    # per-site square eliminated through the quadratic constraint.
     public_index = {}
 
     def public_of(rep: Monomial) -> int:
@@ -648,7 +593,7 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
     one_mono = Monomial.one()
     for r in range(D):
         for c in range(r, D):
-            m = entry_moment[(r, c)]
+            m = monos[r] * monos[c]
             if m in moment_kind:
                 entry_kind[(r, c)] = moment_kind[m]
                 exprs[(r, c)] = moment_expr[m]
@@ -676,44 +621,9 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
             entry_kind[(r, c)] = kind
             exprs[(r, c)] = expr
 
-    # Pauli rows: the unit entry, the per-site quadratic rows, substitution
-    # rows at higher levels, and equality ties for repeated free moments.
-    constraints = [EntryConstraint(tag="unit", entries=(((0, 0), 1.0),), rhs=1.0)]
-    for i in range(n):
-        entries = tuple(((index[Monomial.single(i, a)], index[Monomial.single(i, a)]), 1.0)
-                        for a in range(3))
-        constraints.append(EntryConstraint(tag="site", entries=entries, rhs=1.0, site=i))
-    if hybrid:
-        max_sub_deg = 2 * (basis.level - 1)
-        for m in monos:
-            if not 1 <= m.degree <= max_sub_deg:
-                continue
-            mi = index[m]
-            for i in range(n):
-                ent = []
-                for a in range(3):
-                    si = index.get(sq[(i, a)])
-                    if si is None:
-                        break
-                    ent.append(((min(mi, si), max(mi, si)), 1.0))
-                else:
-                    ent.append(((0, mi), -1.0))
-                    constraints.append(EntryConstraint(tag="subst", entries=tuple(ent),
-                                                       rhs=0.0, site=i))
-        for m, positions in moment_positions.items():
-            if len(positions) < 2 or not isinstance(moment_kind.get(m), FreeVar):
-                continue
-            p0 = positions[0]
-            for p in positions[1:]:
-                constraints.append(EntryConstraint(
-                    tag="tie", entries=((p0, 1.0), (p, -1.0)), rhs=0.0))
-
     return MomentMatrixLayout(
         basis=basis, scheme=scheme, n_sites=n,
-        entry_kind=entry_kind, pauli_constraints=constraints,
-        free_var_count=len(var_reps),
-        exprs=exprs, var_reps=var_reps,
-        moment_positions=moment_positions, entry_moment=entry_moment,
+        entry_kind=entry_kind, free_var_count=len(var_reps), var_reps=var_reps,
         solver_monos=solver_monos,
         solver_exprs=exprs if solver_exprs is None else solver_exprs,
         expansion=expansion)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from ._blas import single_blas_thread
 from .corrdata import AXES, CorrelationDataset, PauliAxis, two_body_label
 from .errors import (BadKey, BadNoiseLevel, MissingData, NotDensity,
                      NotNormalized, TooLarge)
@@ -228,6 +229,7 @@ def _sector_basis(spec: ModelSpec):
     return q, sectors
 
 
+@single_blas_thread()
 def thermal_density(spec: ModelSpec, temperature: float) -> np.ndarray:
     """Gibbs state exp(-H/T)/Z as a dense real matrix.
 

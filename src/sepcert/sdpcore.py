@@ -1,32 +1,27 @@
-"""Standard-form SDP assembly, a self-contained primal-dual interior-point
-solver, and extraction of the dual entanglement certificate.
+"""Assembly of the noise-robustness program, a self-contained primal-dual
+interior-point solver, and extraction of the dual entanglement certificate.
 
 The noise-robustness program is
 
     min lambda  s.t.  X = diag(lambda, Gamma) >= 0,
                       Gamma[data position] = (1 - lambda) * C_alpha,
-                      per-site quadratic (Pauli) rows,
+                      Gamma a moment matrix of Bloch vectors on unit spheres,
 
-solved internally in the reduced parametrization X(u) = F0 + sum_t u_t F_t
-over the layout's independent unknowns u = (lambda, free moments).  The
-exposed problem object and certificates are the standard conic form: data
-rows A_alpha with right-hand side C_alpha, structural (Pauli) rows with
-right-hand sides b_i, dual vectors (w_data, w_pauli), and the dual slack
-identity  M - sum w_alpha A_alpha - sum w_i A_i^Pauli >= 0.
+solved in the reduced parametrization G(u) = F0 + sum_t u_t F_t over the
+layout's independent unknowns u = (lambda, free moments), with the unit
+sphere built into the entry expressions.
 
-Every certificate is read off the projected dual matrix X of the reduced
-problem, by one formula at every level: w_data from the data terms of the
-entry expressions, and the dual residual and dual objective from X's
-blocks.  w_pauli and the standard-form dual slack exist only when every
-Pauli row is a unit or site row (level 1 without extras); otherwise
-w_pauli is None.
+The certificate is the dual matrix X of the reduced problem, projected onto
+<F_t, X> = c_t and averaged over the scheme group.  The witness reads one
+multiplier per correlator label off the data terms of the entry expressions;
+the dual residual and the dual objective come from X's blocks, by one
+formula at every level.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,23 +31,23 @@ import scipy.sparse as sp
 from ._blas import single_blas_thread
 from .corrdata import CorrelationDataset
 from .errors import NotEntangled, SolverFailure
-from .momentmat import Data, MomentMatrixLayout, Monomial, layout_for
+from .momentmat import MomentMatrixLayout, Monomial, layout_for
 
 DETECTION_THRESHOLD = 1e-6
+# Fraction of the largest feasible step length that each iteration takes.
+STEP_FRACTION = 0.98
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
+    """``tol`` bounds the relative gap and the primal and dual infeasibility."""
+
+    tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
 
     def __post_init__(self):
-        if self.gap_tol <= 0 or self.feas_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -258,7 +253,7 @@ class InteriorPointSolver:
             if not (math.isfinite(mu) and math.isfinite(pinf) and math.isfinite(dinf)):
                 status = SdpStatus.NUMERICAL_TROUBLE
                 break
-            if relgap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
+            if relgap <= opts.tol and pinf <= opts.tol and dinf <= opts.tol:
                 status = SdpStatus.OPTIMAL
                 break
             if dobj > 1e10 * scale:
@@ -306,8 +301,8 @@ class InteriorPointSolver:
             dy_aff = solve_schur(rhs_aff)
             ds_aff = [r - m for r, m in zip(rd, prob.apply_at(dy_aff))]
             dx_aff = [-xb - w @ dsb @ w for xb, dsb, w in zip(x, ds_aff, w_blocks)]
-            alpha_p = min(1.0, opts.step_fraction * _max_step(dx_aff, linv_x))
-            alpha_d = min(1.0, opts.step_fraction * _max_step(ds_aff, linv_s))
+            alpha_p = min(1.0, STEP_FRACTION * _max_step(dx_aff, linv_x))
+            alpha_d = min(1.0, STEP_FRACTION * _max_step(ds_aff, linv_s))
             mu_aff = sum(
                 float(np.sum((xb + alpha_p * dxb) * (sb + alpha_d * dsb)))
                 for xb, dxb, sb, dsb in zip(x, dx_aff, s, ds_aff)) / dtot
@@ -320,8 +315,8 @@ class InteriorPointSolver:
             dx = [sigma * mu * si - xb - w @ dsb @ w
                   for si, xb, dsb, w in zip(s_inv, x, ds, w_blocks)]
             dx = [0.5 * (m + m.T) for m in dx]
-            alpha_p = min(1.0, opts.step_fraction * _max_step(dx, linv_x))
-            alpha_d = min(1.0, opts.step_fraction * _max_step(ds, linv_s))
+            alpha_p = min(1.0, STEP_FRACTION * _max_step(dx, linv_x))
+            alpha_d = min(1.0, STEP_FRACTION * _max_step(ds, linv_s))
 
             x = [xb + alpha_p * dxb for xb, dxb in zip(x, dx)]
             s = [sb + alpha_d * dsb for sb, dsb in zip(s, ds)]
@@ -402,63 +397,18 @@ def uniform_sphere_moment(m: Monomial) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class DataRow:
-    label: str
-    position: tuple  # (r, c) in the Gamma block, r < c
-    value: float
-
-
 @dataclass
 class SdpProblem:
-    """Standard-form noise-robustness program for one layout.
+    """The noise-robustness program for one layout in its reduced form.
 
-    ``block_dims`` is [1, dim(Gamma)]; the objective matrix selects the
-    scalar block.  ``data_rows`` carry one row per stored correlator entry
-    position, ``pauli_rows`` the structural rows (unit entry, per-site
-    quadratic rows, and higher-level substitution/tie rows).  The reduced
-    problem solves Gamma as one block per connected component of its entry
-    pattern; ``gamma_blocks`` holds each component's solver-basis indices.
+    The reduced problem solves Gamma as one block per connected component of
+    its entry pattern, after the scalar block of lambda; ``gamma_blocks``
+    holds each component's solver-basis indices.
     """
 
     layout: MomentMatrixLayout
-    block_dims: list
-    data_rows: list
-    pauli_rows: list
     reduced: BlockSdp = field(repr=False)
     gamma_blocks: list = field(repr=False)
-
-    @property
-    def gamma_dim(self) -> int:
-        return self.block_dims[1]
-
-    @property
-    def data_values(self) -> np.ndarray:
-        return np.array([row.value for row in self.data_rows])
-
-    @property
-    def pauli_rhs(self) -> np.ndarray:
-        return np.array([row.rhs for row in self.pauli_rows])
-
-    def dual_slack_blocks(self, w_data, w_pauli):
-        """M - sum w_alpha A_alpha - sum w_k A_k^Pauli, per block."""
-        if w_pauli is None:
-            raise ValueError("the standard-form dual slack exists only for layouts whose "
-                             "Pauli rows are all unit and site rows")
-        g = np.zeros((self.gamma_dim, self.gamma_dim))
-        for w, row in zip(w_data, self.data_rows):
-            r, c = row.position
-            g[r, c] -= 0.5 * w
-            g[c, r] -= 0.5 * w
-        for w, row in zip(w_pauli, self.pauli_rows):
-            for (r, c), coeff in row.entries:
-                if r == c:
-                    g[r, r] -= coeff * w
-                else:
-                    g[r, c] -= 0.5 * coeff * w
-                    g[c, r] -= 0.5 * coeff * w
-        s0 = 1.0 - float(np.dot(w_data, self.data_values))
-        return [np.array([[s0]]), g]
 
     def solver_gamma(self, blocks):
         """Solver-basis Gamma from the reduced problem's per-component blocks
@@ -492,7 +442,7 @@ def _components(dim, edges):
 
 
 def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
-    """Standard-form program plus its reduced parametrization.
+    """The reduced program of one layout.
 
     The solver operates on the layout's facially reduced sub-basis (identical
     to the full basis at level 1).  The strictly feasible starting point is
@@ -527,22 +477,13 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
             reduced.add_coeff(b, 0, r, c, -coeff * cval)
         for var, coeff in expr.vars:
             reduced.add_coeff(b, 1 + var, r, c, coeff)
-    data_rows = []
-    for (r, c) in sorted(layout.entry_kind):
-        kind = layout.entry_kind[(r, c)]
-        if isinstance(kind, Data):
-            expr = layout.exprs[(r, c)]
-            data_rows.append(DataRow(label=kind.label, position=(r, c),
-                                     value=expr.data[0][1]))
     initial_u = np.empty(nvars)
     initial_u[0] = 1.0
     for k, rep in enumerate(layout.var_reps):
         initial_u[1 + k] = uniform_sphere_moment(rep)
     reduced.initial_u = initial_u
     reduced.finalize()
-    return SdpProblem(layout=layout, block_dims=[1, layout.dim], data_rows=data_rows,
-                      pauli_rows=list(layout.pauli_constraints), reduced=reduced,
-                      gamma_blocks=gamma_blocks)
+    return SdpProblem(layout=layout, reduced=reduced, gamma_blocks=gamma_blocks)
 
 
 # -- solving and certificate extraction -----------------------------------------
@@ -552,9 +493,9 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
 class SdpSolution:
     """Optimal value, primal matrices and dual certificate of one solve.
 
-    ``x_star`` is diag(lambda, Gamma) in the full basis.  ``w_data`` holds one
-    multiplier per data row and ``w_pauli`` one per Pauli row, or None when
-    a Pauli row is a substitution or tie row.  ``dual_feas_residual`` is
+    ``x_star`` is diag(lambda, Gamma) in the full basis.  ``w_data`` maps each
+    correlator label to its multiplier, and ``w_dot_c`` is sum w_alpha
+    C_alpha over the stored values.  ``dual_feas_residual`` is
     max(0, -lambda_min) over the blocks of the reduced dual matrix, and
     ``strong_duality_residual`` is |lambda* - (-<F0, X>)|.
     """
@@ -562,8 +503,7 @@ class SdpSolution:
     status: SdpStatus
     lambda_star: float
     x_star: list
-    w_data: np.ndarray
-    w_pauli: np.ndarray | None
+    w_data: dict
     duality_gap: float
     iterations: int
     w_dot_c: float
@@ -590,38 +530,24 @@ def _average_over_group(layout: MomentMatrixLayout, mat: np.ndarray) -> np.ndarr
     return out / len(group)
 
 
-def _extract_multipliers(problem: SdpProblem, zbar: np.ndarray):
-    """Read the standard-form dual vector off the group-averaged, projected
-    certificate matrix Z in the solver basis.
+def _extract_multipliers(layout: MomentMatrixLayout, zbar: np.ndarray):
+    """Witness multipliers read off the group-averaged, projected certificate
+    matrix Z in the solver basis.
 
-    Each data label gets w_alpha = -<D_alpha, Z>, where D_alpha is the
-    coefficient of C_alpha in the solver-basis entry expressions, and shares
-    it equally among the data rows that hold the label (one row per label at
-    level 1, where this is the entry read -2 Z[position]).  The Pauli
-    multipliers are entry reads too when every Pauli row is a unit or site
-    row.  Otherwise w_pauli is None: the substitution and tie rows of higher
-    levels and extras have no standard-form certificate, since the full
-    basis has no Slater point.  Returns (w_data, w_pauli).
+    Each correlator label gets w_alpha = -<D_alpha, Z> = -2 sum coeff Z[r, c],
+    where D_alpha is the coefficient of C_alpha in the solver-basis entry
+    expressions.  Returns (w_data, c_data): the multipliers and the values
+    C_alpha, keyed by label in the same order.
     """
     # A correlator is odd in some Bloch component and a diagonal entry's
     # moment is even in all, so data terms sit off the diagonal only.
-    per_label = {}
-    for (r, c), expr in problem.layout.solver_exprs.items():
-        for label, _, coeff in expr.data:
-            per_label[label] = per_label.get(label, 0.0) + coeff * zbar[r, c]
-    rows = Counter(row.label for row in problem.data_rows)
-    w_data = np.array([-2.0 * per_label[row.label] / rows[row.label]
-                       for row in problem.data_rows])
-    if any(row.tag not in ("unit", "site") for row in problem.pauli_rows):
-        return w_data, None
-    w_pauli = np.empty(len(problem.pauli_rows))
-    for k, row in enumerate(problem.pauli_rows):
-        if row.tag == "unit":
-            w_pauli[k] = -zbar[0, 0]
-        else:  # per-site quadratic row: the three diagonal entries agree
-            diag = [zbar[r, r] for (r, _), _ in row.entries]
-            w_pauli[k] = -float(np.mean(diag))
-    return w_data, w_pauli
+    z = zbar.tolist()
+    w_data, c_data = {}, {}
+    for (r, c), expr in layout.solver_exprs.items():
+        for label, cval, coeff in expr.data:
+            w_data[label] = w_data.get(label, 0.0) - 2.0 * coeff * z[r][c]
+            c_data[label] = cval
+    return w_data, c_data
 
 
 @single_blas_thread()
@@ -634,15 +560,15 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
 
     xproj = solver.certificate_projection(problem.reduced, res.x_blocks)
     zbar = _average_over_group(layout, problem.solver_gamma(xproj))
-    w_data, w_pauli = _extract_multipliers(problem, zbar)
+    w_data, c_data = _extract_multipliers(layout, zbar)
 
     dual_resid = max(0.0, -min(float(np.linalg.eigvalsh(blk)[0]) for blk in xproj))
-    w_dot_c = float(np.dot(w_data, problem.data_values))
+    w_dot_c = float(np.dot(list(w_data.values()), list(c_data.values())))
     dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(problem.reduced.f0, xproj))
     lambda_star = float(res.u[0])
     strong_resid = abs(lambda_star - dual_obj)
 
-    # diag(lambda, Gamma(u)) in standard-form roles, Gamma in the full basis
+    # diag(lambda, Gamma(u)), Gamma in the full basis
     emat = layout.expansion_matrix()
     x_star = [res.s_blocks[0], emat @ problem.solver_gamma(res.s_blocks) @ emat.T]
     min_eig_x = min(float(np.linalg.eigvalsh(0.5 * (blk + blk.T))[0]) for blk in x_star)
@@ -652,8 +578,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
         status = SdpStatus.NUMERICAL_TROUBLE
     return SdpSolution(
         status=status, lambda_star=lambda_star, x_star=x_star,
-        w_data=w_data, w_pauli=w_pauli,
-        duality_gap=res.gap, iterations=res.iterations,
+        w_data=w_data, duality_gap=res.gap, iterations=res.iterations,
         w_dot_c=w_dot_c, dual_feas_residual=dual_resid,
         strong_duality_residual=strong_resid, min_eig_x=min_eig_x,
         pinfeas=res.pinfeas, dinfeas=res.dinfeas, trace=res.trace)
@@ -669,11 +594,12 @@ def certify(ds: CorrelationDataset, level: int = 1, scheme=None, extras=(),
 
 def extract_witness(solution: SdpSolution, problem: SdpProblem,
                     threshold: float = DETECTION_THRESHOLD):
-    """Entanglement witness from the optimal dual vector.
+    """Entanglement witness from the solution's multipliers.
 
-    The coefficients are keyed by correlator label; all separable data
-    satisfy  sum w_alpha C_alpha <= 1 - lambda_star, while the certified
-    dataset attains  sum w_alpha C_alpha = 1.
+    The coefficients are ``solution.w_data``, keyed by correlator label; all
+    separable data satisfy  sum w_alpha C_alpha <= 1 - lambda_star, while the
+    certified dataset attains  sum w_alpha C_alpha = 1.  ``problem`` is not
+    read: the multipliers travel with the solution.
     """
     from .witnesslab import Witness  # local import to avoid a module cycle
 
@@ -683,13 +609,10 @@ def extract_witness(solution: SdpSolution, problem: SdpProblem,
         raise NotEntangled(
             f"lambda* = {solution.lambda_star:.3e} is below the detection "
             f"threshold {threshold:.0e}; the data are separable-compatible")
-    coeffs = {}
-    for w, row in zip(solution.w_data, problem.data_rows):
-        coeffs[row.label] = coeffs.get(row.label, 0.0) + float(w)
     if abs(solution.w_dot_c - 1.0) > 1e-4:
         raise SolverFailure(
             f"dual certificate violates the normalization identity: "
             f"w.C = {solution.w_dot_c!r}")
-    return Witness(coefficients=coeffs,
+    return Witness(coefficients=dict(solution.w_data),
                    separable_bound=1.0 - solution.lambda_star,
                    orientation="upper", provenance="dual_certificate")

@@ -358,7 +358,6 @@ def cmc_check(ds: CorrelationDataset, tol: float = 1e-8) -> CmcResult:
         initial[1 + 5 * i] = initial[2 + 5 * i] = 1.0 / 3.0
     prob.initial_u = initial
     prob.finalize()
-    res = InteriorPointSolver(SolverOptions(gap_tol=1e-9, feas_tol=1e-9,
-                                            max_iter=100)).solve(prob)
+    res = InteriorPointSolver(SolverOptions(tol=1e-9, max_iter=100)).solve(prob)
     margin = -res.obj  # optimal s
     return CmcResult(feasible=margin >= -tol, margin=float(margin), status=res.status)

@@ -5,6 +5,7 @@ code under test: explicit classical averages over mixtures, dense quantum
 states, or brute-force evaluation.
 """
 
+import collections
 import ctypes
 import dataclasses
 import functools
@@ -97,6 +98,126 @@ def single_block_problem(layout):
                                gamma_blocks=[list(range(d))])
 
 
+DataRow = collections.namedtuple("DataRow", "label position value")
+PauliRow = collections.namedtuple("PauliRow", "tag entries rhs")
+
+
+def standard_form_rows(layout):
+    """Rows of the standard-form program over the full basis, rebuilt from
+    the layout: (data_rows, pauli_rows).
+
+    A data row fixes one stored correlator position r < c; its value is the
+    label's C_alpha.  A Pauli row is the linear equation
+    sum(coeff * Gamma[r, c]) = rhs over positions: the unit entry, one
+    quadratic row x_i^2 + y_i^2 + z_i^2 = 1 per site and, at level > 1 or
+    with extras, the substitution rows m (x_i^2 + y_i^2 + z_i^2) = m for
+    every monomial m of degree 1 .. 2(level - 1) and one tie row per
+    repeated position of a free moment.
+    """
+    basis = layout.basis
+    monos = basis.monomials
+    index = basis.index()
+    values = {label: cval for expr in layout.solver_exprs.values()
+              for label, cval, _ in expr.data}
+    data_rows = [DataRow(kind.label, pos, values[kind.label])
+                 for pos, kind in sorted(layout.entry_kind.items())
+                 if isinstance(kind, sc.Data)]
+    pauli_rows = [PauliRow("unit", (((0, 0), 1.0),), 1.0)]
+    for i in range(layout.n_sites):
+        diag = [index[sc.Monomial.single(i, a)] for a in range(3)]
+        pauli_rows.append(PauliRow("site", tuple(((k, k), 1.0) for k in diag), 1.0))
+    if basis.level == 1 and not basis.extras:
+        return data_rows, pauli_rows
+    squares = [[index.get(sc.Monomial(((i, a), (i, a)))) for a in range(3)]
+               for i in range(layout.n_sites)]
+    for m in monos:
+        if not 1 <= m.degree <= 2 * (basis.level - 1):
+            continue
+        mi = index[m]
+        for row in squares:
+            if None not in row:
+                ent = [((min(mi, si), max(mi, si)), 1.0) for si in row]
+                pauli_rows.append(PauliRow("subst", tuple(ent) + (((0, mi), -1.0),), 0.0))
+    positions = {}
+    for r in range(len(monos)):
+        for c in range(r, len(monos)):
+            positions.setdefault(monos[r] * monos[c], []).append((r, c))
+    for pos in positions.values():
+        if len(pos) > 1 and isinstance(layout.entry_kind[pos[0]], sc.FreeVar):
+            pauli_rows.extend(PauliRow("tie", ((pos[0], 1.0), (p, -1.0)), 0.0)
+                              for p in pos[1:])
+    return data_rows, pauli_rows
+
+
+def certificate_matrix(problem):
+    """Projected dual matrix X of a second solve of the problem (the solve
+    is deterministic), as one solver-basis Gamma block."""
+    from sepcert.sdpcore import InteriorPointSolver
+
+    solver = InteriorPointSolver()
+    res = solver.solve(problem.reduced)
+    return problem.solver_gamma(solver.certificate_projection(problem.reduced, res.x_blocks))
+
+
+def standard_form_slack(problem, solution):
+    """Standard-form dual slack M - sum w_alpha A_alpha - sum w_k A_k^Pauli
+    of a solve, per block, and its bound -sum b_k w_k^Pauli.
+
+    The data multipliers are the solution's, one per label.  The unit and
+    site multipliers are read off the certificate matrix X: -X[0, 0] for the
+    unit row and minus the mean of the site's three diagonal entries (a sum
+    that the scheme group only permutes).  The substitution and tie rows of
+    higher levels and extras have no standard-form certificate, since the
+    full basis has no Slater point; for them this raises ValueError.
+    """
+    data_rows, pauli_rows = standard_form_rows(problem.layout)
+    if any(row.tag not in ("unit", "site") for row in pauli_rows):
+        raise ValueError("the standard-form dual slack exists only for layouts whose "
+                         "Pauli rows are all unit and site rows")
+    z = certificate_matrix(problem)
+    w_pauli = np.array([-float(np.mean([z[r, r] for (r, _), _ in row.entries]))
+                        for row in pauli_rows])
+    w_data = np.array([solution.w_data[row.label] for row in data_rows])
+    d = problem.layout.dim
+    g = np.zeros((d, d))
+    for w, row in zip(w_data, data_rows):
+        r, c = row.position
+        g[r, c] -= 0.5 * w
+        g[c, r] -= 0.5 * w
+    for w, row in zip(w_pauli, pauli_rows):
+        for (r, _), coeff in row.entries:
+            g[r, r] -= coeff * w
+    s0 = 1.0 - float(np.dot(w_data, [row.value for row in data_rows]))
+    bound = -float(w_pauli @ np.array([row.rhs for row in pauli_rows]))
+    return [np.array([[s0]]), g], bound
+
+
+def moment_completion(layout, ds, moment_fn):
+    """Dense full-basis Gamma with every free entry set to the classical
+    moment supplied by ``moment_fn``, averaged over the scheme group, and
+    every data entry set to its stored value."""
+    group = layout.scheme.group_elements()
+    monos = layout.basis.monomials
+
+    def averaged(m):
+        vals = [m.flip_sign({a for a in range(3) if signs[a] == -1})
+                * moment_fn(m.relabel_axes(perm)) for perm, signs in group]
+        return float(np.mean(vals))
+
+    gamma = np.zeros((layout.dim, layout.dim))
+    for (r, c), kind in layout.entry_kind.items():
+        if isinstance(kind, sc.Constant):
+            v = kind.value
+        elif isinstance(kind, sc.Data):
+            v = ds.value(kind.label)
+        elif isinstance(kind, sc.Zero):
+            v = 0.0
+        else:
+            v = averaged(monos[r] * monos[c])
+        gamma[r, c] = gamma[c, r] = v
+    return gamma
+
+
 def lstsq_label_coefficients(problem, z):
     """Per-label witness coefficients from a least-squares fit of the
     standard-form dual vector to the solver-basis certificate matrix z.
@@ -107,11 +228,12 @@ def lstsq_label_coefficients(problem, z):
     summed per label.
     """
     emat = problem.layout.expansion_matrix()
+    data_rows, pauli_rows = standard_form_rows(problem.layout)
     row_mats = []
-    for row in problem.data_rows:
+    for row in data_rows:
         r, c = row.position
         row_mats.append(0.5 * (np.outer(emat[r], emat[c]) + np.outer(emat[c], emat[r])))
-    for row in problem.pauli_rows:
+    for row in pauli_rows:
         m = np.zeros_like(z)
         for (r, c), coeff in row.entries:
             m += 0.5 * coeff * (np.outer(emat[r], emat[c]) + np.outer(emat[c], emat[r]))
@@ -120,7 +242,7 @@ def lstsq_label_coefficients(problem, z):
     amat = np.stack([m[iu] for m in row_mats], axis=1)
     sol = np.linalg.lstsq(amat, -z[iu], rcond=None)[0]
     coeffs = {}
-    for w, row in zip(sol, problem.data_rows):
+    for w, row in zip(sol, data_rows):
         coeffs[row.label] = coeffs.get(row.label, 0.0) + float(w)
     return coeffs
 

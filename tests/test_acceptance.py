@@ -13,7 +13,8 @@ import sepcert as sc
 from sepcert.momentmat import SchemeKind
 from sepcert.seporacle import make_rng
 
-from oracles import best_x_state_pair, entangled_state_dataset, random_state_dataset
+from oracles import (best_x_state_pair, entangled_state_dataset, random_state_dataset,
+                     standard_form_slack)
 
 
 def _report(num, ok, detail):
@@ -85,7 +86,7 @@ def test_c03_duality_certificate_suite(quench64):
         assert sol.entangled, f"{name} should be entangled"
         worst_gap = max(worst_gap, sol.duality_gap)
         worst_wc = max(worst_wc, abs(sol.w_dot_c - 1.0))
-        slack = prob.dual_slack_blocks(sol.w_data, sol.w_pauli)
+        slack, _ = standard_form_slack(prob, sol)
         resid = max(0.0, -float(slack[0][0, 0]),
                     -float(np.linalg.eigvalsh(0.5 * (slack[1] + slack[1].T))[0]))
         worst_feas = max(worst_feas, resid)

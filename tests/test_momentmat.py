@@ -11,7 +11,8 @@ from sepcert.momentmat import (Constant, Data, FreeVar, GENERAL_SCHEME,
                                select_scheme)
 from sepcert.seporacle import make_rng
 
-from oracles import mixture_moment, random_state_dataset
+from oracles import (mixture_moment, moment_completion, random_state_dataset,
+                     standard_form_rows)
 
 
 # -- monomials and bases ----------------------------------------------------------
@@ -169,15 +170,16 @@ def test_layout_pauli_rows_reference_entries():
     ds = random_state_dataset(3, 4)
     for level in (1, 2):
         lay = layout_for(ds, level=level)
-        for row in lay.pauli_constraints:
+        _, pauli_rows = standard_form_rows(lay)
+        for row in pauli_rows:
             for (r, c), coeff in row.entries:
                 assert (min(r, c), max(r, c)) in lay.entry_kind
-        site_rows = [row for row in lay.pauli_constraints if row.tag == "site"]
+        site_rows = [row for row in pauli_rows if row.tag == "site"]
         assert len(site_rows) == 3
         assert all(row.rhs == 1.0 for row in site_rows)
-    lay2 = layout_for(ds, level=2)
-    assert any(row.tag == "subst" for row in lay2.pauli_constraints)
-    assert any(row.tag == "tie" for row in lay2.pauli_constraints)
+    pauli_rows = standard_form_rows(layout_for(ds, level=2))[1]
+    assert any(row.tag == "subst" for row in pauli_rows)
+    assert any(row.tag == "tie" for row in pauli_rows)
 
 
 def test_layout_psd_completion_from_mixture():
@@ -187,7 +189,7 @@ def test_layout_psd_completion_from_mixture():
         mix = sc.random_separable_mixture(n, 5, rng)
         ds = sc.dataset_of(mix)
         lay = layout_for(ds, level=level)
-        gamma = lay.gamma_completion(lambda m: mixture_moment(mix, m))
+        gamma = moment_completion(lay, ds, lambda m: mixture_moment(mix, m))
         assert np.max(np.abs(gamma - gamma.T)) < 1e-12
         assert np.linalg.eigvalsh(gamma)[0] >= -1e-9
 
@@ -203,7 +205,7 @@ def test_layout_psd_completion_under_scheme():
     ds_shaped = sc.CorrelationDataset(5, {}, two)
     lay = layout_for(ds_shaped)
     assert lay.scheme.kind is SchemeKind.AXIS_DIAGONAL
-    gamma = lay.gamma_completion(lambda m: mixture_moment(mix, m))
+    gamma = moment_completion(lay, ds_shaped, lambda m: mixture_moment(mix, m))
     assert np.linalg.eigvalsh(gamma)[0] >= -1e-9
 
 

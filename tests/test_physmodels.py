@@ -9,9 +9,9 @@ import sepcert as sc
 from sepcert.errors import BadKey, BadNoiseLevel, MissingData, NotDensity, TooLarge
 from sepcert.seporacle import make_rng
 
-from oracles import (best_x_state_pair, dense_chain_hamiltonian, dense_pauli_string,
-                     dense_thermal_density, expm_thermal_correlator, haar_state,
-                     quench_state_vector)
+from oracles import (OPENBLAS_SETTERS, best_x_state_pair, blas_thread_counts,
+                     dense_chain_hamiltonian, dense_pauli_string, dense_thermal_density,
+                     expm_thermal_correlator, haar_state, quench_state_vector)
 
 # phi_0(n=8, t=1) computed once with 50-digit mpmath summation of
 # (1/8) sum_k exp(i cos(2 pi k / 8)); imaginary part is exactly zero there.
@@ -173,6 +173,23 @@ def test_thermal_odd_y_exact_zero():
             if (a is sc.PauliAxis.Y) != (b is sc.PauliAxis.Y)]
     assert len(odd) == 4 + 6 * 4 and all(v == 0.0 for v in odd)
     assert ds.two(0, 1, "Y", "Y") != 0.0
+
+
+@pytest.mark.skipif(not OPENBLAS_SETTERS,
+                    reason="no OpenBLAS exposes openblas_set_num_threads_local")
+def test_thermal_density_diagonalizes_on_one_blas_thread(monkeypatch):
+    before = blas_thread_counts()
+    inside = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        inside.append(blas_thread_counts())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    sc.thermal_dataset_ed(sc.ModelSpec(kind="ising", n=6, g=1.0), 0.5)
+    assert inside and all(c == [1] * len(OPENBLAS_SETTERS) for c in inside)
+    assert blas_thread_counts() == before
 
 
 def test_ring_coordinates():

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepcert as sc
 from sepcert._blas import single_blas_thread
@@ -17,9 +19,10 @@ from sepcert.sdpcore import (BlockSdp, InteriorPointSolver, SdpStatus, SolverOpt
                              assemble_primal, solve)
 from sepcert.seporacle import make_rng
 
-from oracles import (OPENBLAS_SETTERS, blas_thread_counts, dense_schur, drop_entries,
-                     entangled_state_dataset, lstsq_label_coefficients,
-                     random_state_dataset, single_block_problem)
+from oracles import (OPENBLAS_SETTERS, blas_thread_counts, certificate_matrix, dense_schur,
+                     drop_entries, entangled_state_dataset, lstsq_label_coefficients,
+                     random_state_dataset, single_block_problem, standard_form_rows,
+                     standard_form_slack)
 
 needs_openblas_setter = pytest.mark.skipif(
     not OPENBLAS_SETTERS, reason="no OpenBLAS exposes openblas_set_num_threads_local")
@@ -67,24 +70,24 @@ def test_empty_dataset_feasible():
     sol, prob = sc.certify(sc.new_dataset(3, {}))
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.lambda_star <= 1e-7
-    assert prob.data_rows == []
+    assert sol.w_data == {}
 
 
 def test_assemble_structure_quench():
     ds = sc.quench_dataset(sc.quench_amplitudes(8, 2.0))
     layout = layout_for(ds)
     prob = assemble_primal(layout)
-    assert prob.block_dims == [1, 25]
-    assert len(prob.data_rows) == ds.n_entries()
-    tags = {row.tag for row in prob.pauli_rows}
-    assert tags == {"unit", "site"}
+    assert layout.dim == 25
+    data_rows, pauli_rows = standard_form_rows(layout)
+    assert len(data_rows) == ds.n_entries()
+    assert {row.tag for row in pauli_rows} == {"unit", "site"}
     # reduced problem: lambda plus one tied square variable per site
     assert prob.reduced.n_vars == 1 + 8
 
 
 def test_assemble_werner_constraints():
     prob = assemble_primal(layout_for(sc.werner_dataset(0.0)))
-    assert len(prob.data_rows) == 3
+    assert len(standard_form_rows(prob.layout)[0]) == 3
     assert prob.reduced.n_vars == 1  # no free unknowns beyond the noise variable
 
 
@@ -116,7 +119,8 @@ def test_split_solve_matches_single_block():
         assert split.status is one.status is SdpStatus.OPTIMAL
         assert split.iterations == one.iterations
         assert abs(split.lambda_star - one.lambda_star) <= 1e-10
-        assert np.max(np.abs(split.w_data - one.w_data)) <= 1e-8
+        assert split.w_data.keys() == one.w_data.keys()
+        assert max(abs(split.w_data[k] - one.w_data[k]) for k in one.w_data) <= 1e-8
         assert np.max(np.abs(split.x_star[1] - one.x_star[1])) <= 1e-8
 
 
@@ -169,13 +173,13 @@ def test_duality_identities_on_corpus():
         assert sol.strong_duality_residual <= 1e-6
         # complementary slackness consequence: w.C = 1 when lambda* > 0
         assert abs(sol.w_dot_c - 1.0) <= 1e-6
-        # dual feasibility of the extracted certificate, from the emitted
-        # standard-form matrices directly
-        slack = prob.dual_slack_blocks(sol.w_data, sol.w_pauli)
+        # dual feasibility of the extracted certificate, from the
+        # standard-form slack rebuilt around its multipliers
+        slack, bound = standard_form_slack(prob, sol)
         assert slack[0][0, 0] >= -1e-8
         assert np.linalg.eigvalsh(0.5 * (slack[1] + slack[1].T))[0] >= -1e-8
         # bound identity: -sum b_k w_k^Pauli = 1 - lambda*
-        assert abs(-float(sol.w_pauli @ prob.pauli_rhs) - (1.0 - sol.lambda_star)) <= 1e-6
+        assert abs(bound - (1.0 - sol.lambda_star)) <= 1e-6
         # the primal matrix is PSD and its lambda block equals lambda*
         assert sol.min_eig_x >= -1e-8
         assert abs(sol.x_star[0][0, 0] - sol.lambda_star) <= 1e-12
@@ -183,19 +187,19 @@ def test_duality_identities_on_corpus():
 
 def test_dual_slack_complementarity():
     sol, prob = sc.certify(sc.werner_dataset(0.0))
-    slack = prob.dual_slack_blocks(sol.w_data, sol.w_pauli)
+    slack, _ = standard_form_slack(prob, sol)
     gamma = sol.x_star[1]
     assert abs(np.sum(slack[1] * gamma)) <= 1e-6  # <S, Gamma*> = 0
 
 
-def test_monotonicity_under_data_removal():
-    rng = make_rng(77)
-    for seed in range(4):
-        ds, sol, _ = entangled_state_dataset(3, 100 + seed)
-        lam_full = sol.lambda_star
-        smaller = drop_entries(ds, 0.3, rng)
-        sol2, _ = sc.certify(smaller)
-        assert sol2.lambda_star <= lam_full + 1e-7
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), seed=st.integers(0, 10 ** 6), frac=st.floats(0.05, 0.8))
+def test_monotonicity_under_data_removal(n, seed, frac):
+    ds = random_state_dataset(n, seed)
+    sol, _ = sc.certify(ds)
+    smaller = drop_entries(ds, frac, seed + 1)
+    sol2, _ = sc.certify(smaller)
+    assert sol2.lambda_star <= sol.lambda_star + 1e-7
 
 
 def test_hierarchy_monotone_small():
@@ -227,18 +231,17 @@ def test_hybrid_extras_monotone():
 
 
 def test_extras_with_tie_rows_certify_optimal():
-    # The extras add tie rows, which have no standard-form multiplier; the
-    # certificate comes from the reduced dual matrix, whose residual is zero.
+    # The extras add tie rows to the standard form, which has no certificate
+    # there; the reduced dual matrix certifies, with residual zero.
     from sepcert.momentmat import Monomial
     extras = [Monomial(((0, 0), (1, 0), (2, 0))), Monomial(((0, 1), (1, 0), (2, 0))),
               Monomial(((0, 0), (1, 1), (2, 1)))]
     for seed in (400, 401):
         ds, sol1, _ = entangled_state_dataset(3, seed)
         sol, prob = sc.certify(ds, extras=extras)
-        assert "tie" in {row.tag for row in prob.pauli_rows}
+        assert "tie" in {row.tag for row in standard_form_rows(prob.layout)[1]}
         assert sol.status is SdpStatus.OPTIMAL
         assert abs(sol.lambda_star - sol1.lambda_star) <= 1e-7
-        assert sol.w_pauli is None
         assert sol.dual_feas_residual <= 1e-8
 
 
@@ -247,10 +250,7 @@ def test_label_coefficients_match_lstsq_oracle():
     datasets.append(drop_entries(random_state_dataset(3, 605), 0.3, 605))
     for ds in datasets:
         problem = assemble_primal(layout_for(ds, level=2))
-        solver = InteriorPointSolver()
-        res = solver.solve(problem.reduced)
-        z = problem.solver_gamma(solver.certificate_projection(problem.reduced, res.x_blocks))
-        want = lstsq_label_coefficients(problem, z)
+        want = lstsq_label_coefficients(problem, certificate_matrix(problem))
         sol = solve(problem)
         assert sol.status is SdpStatus.OPTIMAL
         got = sc.extract_witness(sol, problem).coefficients
@@ -260,21 +260,18 @@ def test_label_coefficients_match_lstsq_oracle():
         assert sol.strong_duality_residual <= 1e-6
         assert abs(sol.w_dot_c - 1.0) <= 1e-6
     with pytest.raises(ValueError, match="unit and site"):
-        problem.dual_slack_blocks(sol.w_data, sol.w_pauli)
+        standard_form_slack(problem, sol)
 
 
-def test_pt_invariance():
-    rng = make_rng(8)
-    for seed in range(6):
-        n = int(rng.integers(2, 5))
-        ds = random_state_dataset(n, 500 + seed)
-        if rng.random() < 0.5:
-            ds = drop_entries(ds, 0.4, rng)
-        subset = {int(s) for s in rng.choice(n, size=int(rng.integers(1, n + 1)),
-                                             replace=False)}
-        sol_a, _ = sc.certify(ds)
-        sol_b, _ = sc.certify(ds.partial_transpose(subset))
-        assert abs(sol_a.lambda_star - sol_b.lambda_star) <= 1e-6
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), seed=st.integers(0, 10 ** 6), frac=st.floats(0.0, 0.6),
+       data=st.data())
+def test_pt_invariance(n, seed, frac, data):
+    ds = drop_entries(random_state_dataset(n, seed), frac, seed + 1)
+    subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="subset")
+    sol_a, _ = sc.certify(ds)
+    sol_b, _ = sc.certify(ds.partial_transpose(subset))
+    assert abs(sol_a.lambda_star - sol_b.lambda_star) <= 1e-6
 
 
 def test_scheme_matches_general():
@@ -305,7 +302,7 @@ def test_extract_witness_not_entangled():
 
 
 def test_solver_options_and_trace():
-    opts = sc.SolverOptions(gap_tol=1e-9, feas_tol=1e-9, max_iter=100)
+    opts = sc.SolverOptions(tol=1e-9, max_iter=100)
     sol, _ = sc.certify(sc.werner_dataset(0.0), options=opts, keep_trace=True)
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.trace and {"iter", "mu", "pinfeas", "dinfeas", "relgap"} <= set(sol.trace[0])
@@ -324,7 +321,7 @@ def test_final_dual_infeasibility_reported():
     opts = SolverOptions()
     res = InteriorPointSolver(opts).solve(problem.reduced, keep_trace=True)
     assert res.status is SdpStatus.OPTIMAL
-    assert res.dinfeas <= opts.feas_tol
+    assert res.dinfeas <= opts.tol
     assert res.dinfeas == res.trace[-1]["dinfeas"]
     # The default start is dual feasible, so its residual stays at rounding
     # level; from u = 0 the first two dual steps at level 2 are short of full
@@ -333,15 +330,15 @@ def test_final_dual_infeasibility_reported():
     problem.reduced.initial_u = None
     res = InteriorPointSolver(SolverOptions(max_iter=2)).solve(problem.reduced)
     assert res.status is SdpStatus.ITERATION_LIMIT
-    assert res.dinfeas > opts.feas_tol
+    assert res.dinfeas > opts.tol
 
 
 def test_solution_reports_final_infeasibilities():
     opts = SolverOptions()
     sol, _ = sc.certify(sc.werner_dataset(0.0), options=opts)
     assert sol.status is SdpStatus.OPTIMAL
-    assert 0.0 <= sol.pinfeas <= opts.feas_tol
-    assert 0.0 <= sol.dinfeas <= opts.feas_tol
+    assert 0.0 <= sol.pinfeas <= opts.tol
+    assert 0.0 <= sol.dinfeas <= opts.tol
 
 
 def test_non_finite_data_end_as_numerical_trouble():
@@ -375,9 +372,7 @@ def test_indefinite_initial_point_falls_back_to_default_start():
 
 def test_bad_solver_options():
     with pytest.raises(ValueError):
-        sc.SolverOptions(gap_tol=0.0)
-    with pytest.raises(ValueError):
-        sc.SolverOptions(step_fraction=1.0)
+        sc.SolverOptions(tol=0.0)
 
 
 def test_lambda_star_range():
@@ -462,9 +457,10 @@ def test_overlapping_scopes_restore_counts():
 
 @needs_openblas_setter
 def test_solve_matches_single_threaded_blas_bit_for_bit():
-    code = ("import sepcert as sc\n"
+    code = ("import numpy as np\n"
+            "import sepcert as sc\n"
             "sol, _ = sc.certify(sc.quench_dataset(sc.quench_amplitudes(32, 5.0)))\n"
-            "print(sol.lambda_star.hex(), sol.w_data.tobytes().hex())\n")
+            "print(sol.lambda_star.hex(), np.array(list(sol.w_data.values())).tobytes().hex())\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -473,4 +469,4 @@ def test_solve_matches_single_threaded_blas_bit_for_bit():
     lam_hex, w_hex = child.stdout.split()
     sol, _ = sc.certify(sc.quench_dataset(sc.quench_amplitudes(32, 5.0)))
     assert sol.lambda_star.hex() == lam_hex
-    assert sol.w_data.tobytes().hex() == w_hex
+    assert np.array(list(sol.w_data.values())).tobytes().hex() == w_hex
