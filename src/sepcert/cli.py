@@ -151,7 +151,8 @@ def cmd_certify(args) -> int:
         trace_path = os.path.join(args.out, f"{stem}.trace.csv")
         with open(trace_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["iter", "mu", "pinfeas", "dinfeas",
-                                                    "relgap", "sigma", "alpha_p", "alpha_d"])
+                                                    "relgap", "sigma", "alpha_p", "alpha_d",
+                                                    "schur_s"])
             writer.writeheader()
             for row in solution.trace:
                 writer.writerow(row)

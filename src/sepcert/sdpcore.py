@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ from .momentmat import MomentMatrixLayout, Monomial, layout_for
 DETECTION_THRESHOLD = 1e-6
 # Fraction of the largest feasible step length that each iteration takes.
 STEP_FRACTION = 0.98
+# Doubles in one chunk's (nb, d, d) stack of W F W products in the Schur
+# build (1 MB): a chunk stays in cache between its product and its transpose.
+SCHUR_CHUNK_DOUBLES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class BlockSdp:
     def finalize(self):
         self.f0 = self._f0
         self.kmat = []
-        self.var_groups = []
+        self.schur_plan = []
         for b, d in enumerate(self.block_dims):
             tv = np.array(self._trip[b][0], dtype=int)
             tr = np.array(self._trip[b][1], dtype=int)
@@ -109,8 +113,7 @@ class BlockSdp:
             tv, tr, tc, tval = tv[order], tr[order], tc[order], tval[order]
             kmat = sp.csr_matrix((tval, (tr * d + tc, tv)), shape=(d * d, self.n_vars))
             self.kmat.append(kmat)
-            present, starts = np.unique(tv, return_index=True)
-            self.var_groups.append((tv, tr, tc, tval, present, starts))
+            self.schur_plan.append(_schur_chunks(tv, tr, tc, tval, d))
         self.kmat_t = [k.T.tocsr() for k in self.kmat]
         # Gram matrix of the coefficient matrices, for certificate projection.
         gram = np.zeros((self.n_vars, self.n_vars))
@@ -143,6 +146,35 @@ class BlockSdp:
         for b, d in enumerate(self.block_dims):
             out.append((self.kmat[b] @ v).reshape(d, d))
         return out
+
+
+def _schur_chunks(tv, tr, tc, tval, d):
+    """One block's coefficient matrices, in chunks for the Schur build.
+
+    ``tv``, ``tr``, ``tc``, ``tval`` are the block's triplets sorted by
+    variable.  A variable with more than d triplets is stored as its dense
+    d x d matrix F (duplicate positions summed), whose W F W costs two GEMMs;
+    every other variable keeps its m triplets, and the variables with equal m
+    share one batched product.  Each chunk is (cols, r, c, v): the variables,
+    then either None, None and the (nb, d, d) stack of F, or the (nb, m)
+    row and column indices and the (nb, 1, m) values.
+    """
+    present, starts, counts = np.unique(tv, return_index=True, return_counts=True)
+    nb = max(1, SCHUR_CHUNK_DOUBLES // (d * d))
+    chunks = []
+    dense = counts > d
+    f = np.zeros((np.count_nonzero(dense), d, d))
+    for k, (lo, m) in enumerate(zip(starts[dense], counts[dense])):
+        np.add.at(f[k], (tr[lo:lo + m], tc[lo:lo + m]), tval[lo:lo + m])
+    for lo in range(0, len(f), nb):
+        chunks.append((present[dense][lo:lo + nb], None, None, f[lo:lo + nb]))
+    for m in np.unique(counts[~dense]):
+        sel = counts == m
+        pos = starts[sel][:, None] + np.arange(m)
+        for lo in range(0, len(pos), nb):
+            p = pos[lo:lo + nb]
+            chunks.append((present[sel][lo:lo + nb], tr[p], tc[p], tval[p][:, None, :]))
+    return chunks
 
 
 @dataclass
@@ -281,7 +313,10 @@ class InteriorPointSolver:
                 status = SdpStatus.NUMERICAL_TROUBLE
                 break
 
+            tic = time.perf_counter() if keep_trace else 0.0
             schur = self._schur(prob, w_blocks)
+            if keep_trace:
+                trace[-1]["schur_s"] = time.perf_counter() - tic
             try:
                 schur_fac = _chol(schur + np.eye(n) * (1e-14 * (1 + np.trace(schur) / n)))
             except np.linalg.LinAlgError:
@@ -340,26 +375,24 @@ class InteriorPointSolver:
 
     @staticmethod
     def _schur(prob: BlockSdp, w_blocks):
-        """Schur matrix <F_t, W F_s W>, exploiting the few-entry structure of
-        the coefficient matrices: W F_s W is a short sum of outer products, and
-        its inner products with every F_t are one product with the sparse
-        coefficient map."""
+        """Schur matrix <F_t, W F_s W>, one chunk of variables s at a time.
+
+        W F_s W is two GEMMs for a dense F_s and, for a few-entry F_s, a
+        product over its m entries, batched across the chunk; its inner
+        products with every F_t are one product with the sparse coefficient
+        map (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997).
+        """
         n = prob.n_vars
         schur = np.zeros((n, n))
         for b, w in enumerate(w_blocks):
-            tv, tr, tc, tval, present, starts = prob.var_groups[b]
-            if len(tv) == 0:
-                continue
-            npres = len(present)
-            d = w.shape[0]
-            tt = np.empty((npres, d, d))
-            bounds = list(starts) + [len(tv)]
-            for k in range(npres):
-                lo, hi = bounds[k], bounds[k + 1]
-                left = w[:, tr[lo:hi]] * tval[lo:hi]
-                tt[k] = left @ w[tc[lo:hi], :]
-            # Column s of the product holds <F_t, W F_s W> for every t.
-            schur[:, present] += prob.kmat_t[b] @ tt.reshape(npres, d * d).T
+            for cols, r, c, v in prob.schur_plan[b]:
+                if r is None:
+                    t = w @ v @ w
+                else:
+                    t = np.matmul(np.swapaxes(w[:, r], 0, 1) * v, w[c, :])
+                # Column s of the product holds <F_t, W F_s W> for every t.
+                tt = np.ascontiguousarray(t.reshape(len(cols), -1).T)
+                schur[:, cols] += prob.kmat_t[b] @ tt
         return 0.5 * (schur + schur.T)
 
     def certificate_projection(self, prob: BlockSdp, x_blocks):

@@ -101,6 +101,8 @@ def test_certify_dump_layout_and_trace(tmp_path, capsys):
     with open(tmp_path / "werner_lam0.2.trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and "relgap" in rows[0]
+    # Every row but the converged last one times its Schur build.
+    assert all(float(row["schur_s"]) >= 0.0 for row in rows[:-1])
 
 
 def test_certify_forced_scheme(tmp_path):

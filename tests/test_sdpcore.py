@@ -8,15 +8,15 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepcert as sc
 from sepcert._blas import single_blas_thread
 from sepcert.errors import NotEntangled
 from sepcert.momentmat import GENERAL_SCHEME, layout_for
-from sepcert.sdpcore import (BlockSdp, InteriorPointSolver, SdpStatus, SolverOptions,
-                             assemble_primal, solve)
+from sepcert.sdpcore import (SCHUR_CHUNK_DOUBLES, BlockSdp, InteriorPointSolver, SdpStatus,
+                             SolverOptions, assemble_primal, solve)
 from sepcert.seporacle import make_rng
 
 from oracles import (OPENBLAS_SETTERS, blas_thread_counts, certificate_matrix, dense_schur,
@@ -153,6 +153,67 @@ def test_schur_matches_dense_oracle(monkeypatch):
         got = InteriorPointSolver._schur(prob, w_blocks)
         want = dense_schur(prob, w_blocks)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def random_block_sdp(dims, calls, seed):
+    """A BlockSdp whose variable t gets calls[b][t] add_coeff calls in block b
+    (0 leaves it out of the block), at positions drawn from a pool half that
+    size so that (r, c) pairs repeat."""
+    rng = make_rng(seed)
+    prob = BlockSdp(block_dims=dims, n_vars=len(calls[0]), c=np.zeros(len(calls[0])))
+    for b, d in enumerate(dims):
+        for t, k in enumerate(calls[b]):
+            pool = rng.integers(0, d, size=(max(1, k // 2), 2))
+            for r, c in pool[rng.integers(0, len(pool), size=k)]:
+                prob.add_coeff(b, t, int(r), int(c), rng.uniform(-2.0, 2.0))
+    return prob.finalize()
+
+
+@st.composite
+def block_sdp_shapes(draw):
+    dims = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))
+    n_vars = draw(st.integers(1, 8))
+    # Up to 2d + 2 calls, each one or two triplets: from a single entry to
+    # well above d, so both the dense and the grouped products run.
+    calls = [[draw(st.integers(0, 2 * d + 2)) for _ in range(n_vars)] for d in dims]
+    return dims, calls
+
+
+# Twice a chunk's 2^17 / 30^2 variables, nearly all of one count group (a
+# single off-diagonal entry, two triplets), next to an empty block.
+_WIDE = 2 * (SCHUR_CHUNK_DOUBLES // 900 + 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=block_sdp_shapes(), seed=st.integers(0, 2 ** 31))
+@example(shape=([30, 4], [[1] * _WIDE + [45], [0] * (_WIDE + 1)]), seed=3)
+def test_schur_matches_dense_oracle_on_generated_problems(shape, seed):
+    prob = random_block_sdp(*shape, seed)
+    rng = make_rng(seed + 1)
+    w_blocks = []
+    for d in prob.block_dims:
+        a = rng.normal(size=(d, d))
+        w_blocks.append(a @ a.T + d * np.eye(d))
+    got = InteriorPointSolver._schur(prob, w_blocks)
+    want = dense_schur(prob, w_blocks)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_solve_matches_dense_schur_oracle_path(monkeypatch):
+    # A split quench problem and a level-2 problem, solved through the real
+    # Schur build and through the dense oracle.
+    for layout in (layout_for(sc.quench_dataset(sc.quench_amplitudes(16, 3.0))),
+                   layout_for(random_state_dataset(3, 601), level=2)):
+        problem = assemble_primal(layout)
+        real = solve(problem)
+        with monkeypatch.context() as m:
+            m.setattr(InteriorPointSolver, "_schur", staticmethod(dense_schur))
+            oracle = solve(problem)
+        assert real.status is oracle.status is SdpStatus.OPTIMAL
+        assert real.iterations == oracle.iterations
+        assert abs(real.lambda_star - oracle.lambda_star) <= 1e-10
+        assert real.w_data.keys() == oracle.w_data.keys()
+        assert max(abs(real.w_data[k] - oracle.w_data[k]) for k in real.w_data) <= 1e-7
 
 
 def test_duality_identities_on_corpus():
@@ -306,6 +367,7 @@ def test_solver_options_and_trace():
     sol, _ = sc.certify(sc.werner_dataset(0.0), options=opts, keep_trace=True)
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.trace and {"iter", "mu", "pinfeas", "dinfeas", "relgap"} <= set(sol.trace[0])
+    assert all(row["schur_s"] >= 0.0 for row in sol.trace[:-1])
     assert sol.trace[-1]["relgap"] <= 1e-9 or sol.trace[-1]["mu"] <= 1e-9
 
 
