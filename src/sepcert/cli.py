@@ -12,6 +12,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -271,10 +272,20 @@ def _sweep_point(kind: str, point: float, args_dict: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    points = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
-    if not points:
+    tokens = [tok.strip() for tok in args.grid.split(",") if tok.strip() != ""]
+    if not tokens:
         print("error: sweep grid is empty", file=sys.stderr)
         return EXIT_USAGE
+    points = []
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            print(f"error: sweep grid value {tok!r} is not a finite number", file=sys.stderr)
+            return EXIT_USAGE
+        points.append(value)
     os.makedirs(args.out, exist_ok=True)
     args_dict = {"n": args.n, "g": args.g, "model": getattr(args, "model", None),
                  "level": args.level, "options": _solver_options(args)}
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="maximize a witness over product states")
     ops.add_argument("witness")
     ops.add_argument("--n", type=int, required=True)
-    ops.add_argument("--restarts", type=int, default=1000)
+    ops.add_argument("--restarts", type=_positive(int), default=1000)
     _out_flag(ops)
     _seed_flag(ops)
     ops.set_defaults(func=cmd_product_search)

@@ -34,7 +34,11 @@ class Monomial:
     factors: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(sorted(tuple(f) for f in self.factors)))
+        object.__setattr__(self, "factors", tuple(sorted(map(tuple, self.factors))))
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self):  # cached: a layout hashes each monomial many times
+        return self._hash
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -54,9 +58,6 @@ class Monomial:
     def key(self):
         """Graded, then lexicographic by (site, component)."""
         return (len(self.factors), self.factors)
-
-    def sites(self):
-        return tuple(dict.fromkeys(s for s, _ in self.factors))
 
     def relabel_axes(self, perm) -> "Monomial":
         return Monomial(tuple((s, perm[c]) for s, c in self.factors))
@@ -124,6 +125,17 @@ def monomial_basis(n_sites: int, level: int, extras=()) -> MonomialBasis:
                          extras=tuple(extra_set))
 
 
+def _squared_z(m: Monomial):
+    """The first z factor that occurs twice in m, or None when m is in
+    normal form (per-site z-exponent at most 1)."""
+    prev = None
+    for f in m.factors:  # sorted, so equal factors are adjacent
+        if f == prev and f[1] == 2:
+            return f
+        prev = f
+    return None
+
+
 def reduce_monomial(m: Monomial, _memo={}) -> dict:
     """Normal form under z_i^2 -> 1 - x_i^2 - y_i^2 per site.
 
@@ -132,20 +144,12 @@ def reduce_monomial(m: Monomial, _memo={}) -> dict:
     returned combination agree for any distribution on the product of unit
     spheres.
     """
-    try:
-        return _memo[m]
-    except KeyError:
-        pass
-    target = None
-    counts = {}
-    for f in m.factors:
-        counts[f] = counts.get(f, 0) + 1
-        if f[1] == 2 and counts[f] == 2:
-            target = f
-            break
-    if target is None:
-        _memo[m] = {m: 1.0}
-        return _memo[m]
+    out = _memo.get(m)
+    if out is not None:
+        return out
+    target = _squared_z(m)
+    if target is None:  # already in normal form; the memo keeps reducible monomials only
+        return {m: 1.0}
     rest = list(m.factors)
     rest.remove(target)
     rest.remove(target)
@@ -209,34 +213,35 @@ class SymmetryScheme:
 
 GENERAL_SCHEME = SymmetryScheme(kind=SchemeKind.GENERAL)
 
+_IDENTITY = (0, 1, 2)
+_NO_FLIP = (1, 1, 1)
 
-def _axis_flippable(ds: CorrelationDataset, axis: int) -> bool:
+
+def _flip(axis: int) -> tuple:
+    return tuple(-1 if c == axis else 1 for c in range(3))
+
+
+def _swap(a: int, b: int) -> tuple:
+    return tuple(b if c == a else a if c == b else c for c in range(3))
+
+
+def _mismatch(ds: CorrelationDataset, perm, signs):
+    """First stored correlator that the axis map (perm, signs) does not carry
+    onto an equal stored value, as (label, value, image label, stored image
+    value or None, expected value); None when the map preserves the data."""
     for (i, a), v in ds.one_items():
-        if int(a) == axis and v != 0.0:
-            return False
+        ta = AXES[perm[a]]
+        tv = signs[a] * v
+        got = ds.get_one(i, ta)
+        if got != tv:
+            return one_body_label(i, a), v, one_body_label(i, ta), got, tv
     for (i, j, a, b), v in ds.two_items():
-        if (int(a) == axis) != (int(b) == axis) and v != 0.0:
-            return False
-    return True
-
-
-def _axes_swappable(ds: CorrelationDataset, a: int, b: int) -> bool:
-    """Is the dataset (presence and values) invariant under globally
-    exchanging axes a and b?"""
-    perm = {a: b, b: a}
-    for c in range(3):
-        perm.setdefault(c, c)
-    one = ds.one_body
-    for (i, ax), v in one.items():
-        if one.get((i, PauliAxis(perm[int(ax)]))) != v:
-            return False
-    two = ds.two_body
-    for (i, j, ax, bx), v in two.items():
-        pa, pb = perm[int(ax)], perm[int(bx)]
-        key = (i, j, PauliAxis(pa), PauliAxis(pb))
-        if two.get(key) != v:
-            return False
-    return True
+        ta, tb = AXES[perm[a]], AXES[perm[b]]
+        tv = signs[a] * signs[b] * v
+        got = ds.get_two(i, j, ta, tb)
+        if got != tv:
+            return two_body_label(i, j, a, b), v, two_body_label(i, j, ta, tb), got, tv
+    return None
 
 
 def select_scheme(ds: CorrelationDataset) -> SymmetryScheme:
@@ -246,9 +251,9 @@ def select_scheme(ds: CorrelationDataset) -> SymmetryScheme:
     swaps additionally require the two axes' correlators to match entry for
     entry.  Anything else falls back to the general layout.
     """
-    flippable = frozenset(a for a in range(3) if _axis_flippable(ds, a))
-    swap_pairs = [(a, b) for a, b in itertools.combinations(range(3), 2)
-                  if a in flippable and b in flippable and _axes_swappable(ds, a, b)]
+    flippable = frozenset(a for a in range(3) if _mismatch(ds, _IDENTITY, _flip(a)) is None)
+    swap_pairs = [(a, b) for a, b in itertools.combinations(sorted(flippable), 2)
+                  if _mismatch(ds, _swap(a, b), _NO_FLIP) is None]
     if len(swap_pairs) == 3:
         return SymmetryScheme(SchemeKind.ROTATION_INVARIANT, frozenset(range(3)), ((0, 1, 2),))
     if swap_pairs:
@@ -263,27 +268,22 @@ def select_scheme(ds: CorrelationDataset) -> SymmetryScheme:
 
 def check_scheme_valid(ds: CorrelationDataset, scheme: SymmetryScheme) -> None:
     """Raise SchemeMismatch unless the dataset constraints are invariant under
-    every element of the scheme group."""
-    if scheme.kind is SchemeKind.GENERAL:
-        return
-    one, two = ds.one_body, ds.two_body
-    for perm, signs in scheme.group_elements():
-        for (i, a), v in one.items():
-            ta = perm[int(a)]
-            tv = signs[int(a)] * v
-            got = one.get((i, PauliAxis(ta)))
-            if got != tv:
-                raise SchemeMismatch(
-                    f"scheme {scheme.kind.value} maps {one_body_label(i, a)}={v} onto "
-                    f"{one_body_label(i, PauliAxis(ta))}={got}, expected {tv}")
-        for (i, j, a, b), v in two.items():
-            ta, tb = perm[int(a)], perm[int(b)]
-            tv = signs[int(a)] * signs[int(b)] * v
-            got = two.get((i, j, PauliAxis(ta), PauliAxis(tb)))
-            if got != tv:
-                raise SchemeMismatch(
-                    f"scheme {scheme.kind.value} maps {two_body_label(i, j, a, b)}={v} onto "
-                    f"{two_body_label(i, j, PauliAxis(ta), PauliAxis(tb))}={got}, expected {tv}")
+    the scheme group.
+
+    Only the generators are checked: each flip axis and each transposition
+    inside a swap class.  Every group element is a product of generators, and
+    a product of maps that carry the stored correlators onto themselves does
+    so too.
+    """
+    generators = [(_IDENTITY, _flip(a)) for a in sorted(scheme.flip_axes)]
+    generators += [(_swap(a, b), _NO_FLIP) for cls in scheme.swap_classes
+                   for a, b in itertools.combinations(cls, 2)]
+    for perm, signs in generators:
+        bad = _mismatch(ds, perm, signs)
+        if bad is not None:
+            label, v, image, got, tv = bad
+            raise SchemeMismatch(f"scheme {scheme.kind.value} maps {label}={v} onto "
+                                 f"{image}={got}, expected {tv}")
 
 
 # -- entry kinds and layout -----------------------------------------------------
@@ -400,233 +400,145 @@ class MomentMatrixLayout:
         return "\n".join(rows)
 
 
-def _dataset_moment(ds: CorrelationDataset, m: Monomial):
-    """(label, value) when the monomial is a stored correlator, else None."""
-    if m.degree == 1:
-        (i, c), = m.factors
-        v = ds.get_one(i, PauliAxis(c))
-        if v is not None:
-            return one_body_label(i, PauliAxis(c)), v
-        return None
-    if m.degree == 2:
-        (i, a), (j, b) = m.factors
-        if i != j:
-            v = ds.get_two(i, j, PauliAxis(a), PauliAxis(b))
-            if v is not None:
-                return two_body_label(i, j, PauliAxis(a), PauliAxis(b)), v
-    return None
-
-
-def _orbit(m: Monomial, group):
-    """Signed orbit of a monomial under the scheme group.
-
-    Returns (zero_forced, {member: sign}); a member reachable with both signs
-    forces the moment to zero.
-    """
-    seen = {}
-    for perm, signs in group:
-        m2 = m.relabel_axes(perm)
-        s = m.flip_sign({a for a in range(3) if signs[a] == -1})
-        if m2 in seen and seen[m2] != s:
-            return True, {}
-        seen[m2] = s
-    return False, seen
+def _stored_moments(ds: CorrelationDataset) -> dict:
+    """Stored correlators keyed by their monomial's factors: {factors: (label, value)}."""
+    out = {((i, int(a)),): (one_body_label(i, a), v) for (i, a), v in ds.one_items()}
+    out.update((((i, int(a)), (j, int(b))), (two_body_label(i, j, a, b), v))
+               for (i, j, a, b), v in ds.two_items())
+    return out
 
 
 def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
                  scheme: SymmetryScheme = GENERAL_SCHEME) -> MomentMatrixLayout:
     """Classify every moment-matrix entry for the given dataset and scheme.
 
+    One rule classifies the product m of two basis monomials, in order: the
+    constant 1 is a Constant; a stored correlator is Data; a moment that the
+    scheme group forces to zero by sign is Zero; anything else is a FreeVar
+    of its orbit representative.  The entry's expression sums the normal-form
+    terms of m, each a constant, a datum, or +- the unknown of that term's
+    own orbit representative.  Only the per-site squares that the group ties
+    together keep a table of their own.
+
     Schemes other than General are proven only for the degree-1 basis; the
-    general layout supports any level and hybrid extras, reducing entries to
-    normal form under the per-site quadratic constraint.  The data must carry
+    general layout supports any level and hybrid extras.  The data must carry
     the scheme's shape exactly, or SchemeMismatch is raised.
     """
     if ds.n_sites != basis.n_sites:
         raise BadKey(f"dataset has {ds.n_sites} sites, basis was built for {basis.n_sites}")
-    hybrid = basis.level > 1 or bool(basis.extras)
-    if hybrid and scheme.kind is not SchemeKind.GENERAL:
+    if (basis.level > 1 or basis.extras) and scheme.kind is not SchemeKind.GENERAL:
         raise SchemeMismatch("symmetrization schemes are established only for the "
                              "level-1 basis; use the general scheme at higher levels")
     check_scheme_valid(ds, scheme)
+    for m in basis.extras:
+        if _squared_z(m) is not None:
+            raise BadKey(
+                f"extra monomial {m} contains a squared z factor; its row adds "
+                f"nothing beyond the normal-form monomials of its expansion, "
+                f"which should be supplied as extras instead")
 
-    monos = basis.monomials
-    D = len(monos)
-    n = ds.n_sites
-    group = scheme.group_elements()
-    general = scheme.kind is SchemeKind.GENERAL
-
-    def is_normal(m: Monomial) -> bool:
-        counts = {}
-        for f in m.factors:
-            counts[f] = counts.get(f, 0) + 1
-        return all(k < 2 for f, k in counts.items() if f[1] == 2)
-
-    if hybrid:
-        for m in basis.extras:
-            if not is_normal(m):
-                raise BadKey(
-                    f"extra monomial {m} contains a squared z factor; its row adds "
-                    f"nothing beyond the normal-form monomials of its expansion, "
-                    f"which should be supplied as extras instead")
-
-    sq = {(i, a): Monomial(((i, a), (i, a))) for i in range(n) for a in range(3)}
-
-    # Reduced (internal) variables: one per representative monomial.
-    var_index = {}
-    var_reps = []
+    stored = _stored_moments(ds)
+    moves = [(perm, frozenset(a for a in range(3) if signs[a] == -1))
+             for perm, signs in scheme.group_elements() if (perm, signs) != (_IDENTITY, _NO_FLIP)]
+    var_index = {}      # orbit representative -> solver unknown
+    public_index = {}   # orbit representative -> public FreeVar id
+    orbits = {}
+    memo = {}           # monomial -> (kind, expr)
 
     def var_of(rep: Monomial) -> int:
-        if rep not in var_index:
-            var_index[rep] = len(var_reps)
-            var_reps.append(rep)
-        return var_index[rep]
-
-    # Public FreeVar ids: one per representative monomial, including the
-    # per-site square eliminated through the quadratic constraint.
-    public_index = {}
+        return var_index.setdefault(rep, len(var_index))
 
     def public_of(rep: Monomial) -> int:
-        if rep not in public_index:
-            public_index[rep] = len(public_index)
-        return public_index[rep]
+        return public_index.setdefault(rep, len(public_index))
 
-    moment_expr = {}
-    moment_kind = {}
-    _general_cache = {}
-
-    def classify_general(m: Monomial):
-        if m in _general_cache:
-            return _general_cache[m]
-        terms = reduce_monomial(m)
-        const = 0.0
-        data = {}
-        varc = {}
-        for nm, cf in terms.items():
-            if nm.degree == 0:
-                const += cf
-                continue
-            dm = _dataset_moment(ds, nm)
-            if dm is not None:
-                label, val = dm
-                prev = data.get(label, (val, 0.0))
-                data[label] = (val, prev[1] + cf)
+    def orbit_rep(m: Monomial):
+        """(zero_forced, representative, sign) of the signed orbit of m; a
+        member reachable with both signs forces the moment to zero."""
+        out = orbits.get(m)
+        if out is None:
+            members = {m: 1}
+            for perm, flips in moves:
+                s = m.flip_sign(flips)
+                if members.setdefault(m.relabel_axes(perm), s) != s:
+                    out = orbits[m] = (True, m, 1)
+                    break
             else:
-                vid = var_of(nm)
-                varc[vid] = varc.get(vid, 0.0) + cf
-        out = EntryExpr(const=const,
-                        data=tuple((lbl, vv, cc) for lbl, (vv, cc) in sorted(data.items())),
-                        vars=tuple(sorted(varc.items())))
-        _general_cache[m] = out
+                rep = min(members, key=Monomial.key)
+                out = orbits[m] = (False, rep, members[rep])
+        return out
+
+    # Squares that the group ties together are eliminated through
+    # x_i^2 + y_i^2 + z_i^2 = 1 after tying: a class of three is pinned at
+    # 1/3; with a class of two, both are one unknown u and the third square
+    # is 1 - 2u.  Untied squares go through the rule like any other moment.
+    if len(scheme.swap_classes) < 3:
+        swap_class = {a: cls for cls in scheme.swap_classes for a in cls}
+        for i in range(basis.n_sites):
+            sq = [Monomial(((i, a), (i, a))) for a in range(3)]
+            duo = [sq[a] for a in range(3) if len(swap_class[a]) == 2]
+            for a in range(3):
+                cls = swap_class[a]
+                if len(cls) == 3:
+                    memo[sq[a]] = Constant(1.0 / 3.0), EntryExpr(const=1.0 / 3.0)
+                    continue
+                u = var_of(duo[0])
+                memo[sq[a]] = FreeVar(public_of(sq[min(cls)])), (
+                    EntryExpr(vars=((u, 1.0),)) if len(cls) == 2
+                    else EntryExpr(const=1.0, vars=((u, -2.0),)))
+
+    def classify(m: Monomial):
+        out = memo.get(m)
+        if out is not None:
+            return out
+        const, data, varc = 0.0, {}, {}
+        for nm, cf in reduce_monomial(m).items():
+            dm = stored.get(nm.factors)
+            if not nm.factors:
+                const += cf
+            elif dm is not None:
+                label, val = dm
+                data[label] = (val, data.get(label, (val, 0.0))[1] + cf)
+            else:
+                zero, rep, sgn = orbit_rep(nm)
+                if not zero:
+                    vid = var_of(rep)
+                    varc[vid] = varc.get(vid, 0.0) + sgn * cf
+        dm = stored.get(m.factors)
+        if not m.factors:
+            kind = Constant(1.0)
+        elif dm is not None:
+            kind = Data(dm[0])
+        else:
+            zero, rep, _ = orbit_rep(m)
+            kind = Zero() if zero else FreeVar(public_of(rep))
+        out = memo[m] = kind, EntryExpr(
+            const=const, data=tuple((lbl, v, c) for lbl, (v, c) in sorted(data.items())),
+            vars=tuple(sorted(varc.items())))
         return out
 
     # Facially reduced solver basis: at levels >= 2 the full basis functions
     # are linearly dependent on the sphere (per-site square sums), so the
     # solver works on the normal-form sub-basis spanning the same relaxation.
-    if hybrid:
-        solver_monos = tuple(m for m in monos if is_normal(m))
-        sub_index = {m: i for i, m in enumerate(solver_monos)}
-        solver_exprs = {}
-        for r in range(len(solver_monos)):
-            for c in range(r, len(solver_monos)):
-                solver_exprs[(r, c)] = classify_general(solver_monos[r] * solver_monos[c])
-        expansion = []
-        for m in monos:
-            if is_normal(m):
-                expansion.append(((sub_index[m], 1.0),))
-            else:
-                expansion.append(tuple(sorted(
-                    (sub_index[nm], cf) for nm, cf in reduce_monomial(m).items())))
-    else:
-        solver_monos = monos
-        solver_exprs = None  # shares the public entry expressions
-        expansion = [((i, 1.0),) for i in range(D)]
-
-    def orbit_rep(m: Monomial):
-        """(zero_forced, representative, sign); data members are excluded from
-        representative choice so an out-of-shape forced scheme degrades to
-        untied unknowns instead of inventing constraints."""
-        zero, members = _orbit(m, group)
-        if zero:
-            return True, m, 1
-        candidates = {mm: s for mm, s in members.items()
-                      if mm == m or _dataset_moment(ds, mm) is None}
-        rep = min(candidates, key=Monomial.key)
-        return False, rep, candidates[rep]
-
-    if not general:
-        # Per-site diagonal squares: tie by orbit, then eliminate one class
-        # through x^2 + y^2 + z^2 = 1.
-        for i in range(n):
-            reps = []
-            for a in range(3):
-                # squares are even in every axis, so never sign-forced to zero
-                _, rep, _ = orbit_rep(sq[(i, a)])
-                reps.append(rep)
-            classes = list(dict.fromkeys(reps))
-            if len(classes) == 1:
-                for a in range(3):
-                    moment_expr[sq[(i, a)]] = EntryExpr(const=1.0 / 3.0)
-                    moment_kind[sq[(i, a)]] = Constant(1.0 / 3.0)
-            elif len(classes) == 2:
-                duo = classes[0] if reps.count(classes[0]) == 2 else classes[1]
-                solo = classes[1] if duo is classes[0] else classes[0]
-                u = var_of(duo)
-                for a in range(3):
-                    if reps[a] is duo or reps[a] == duo:
-                        moment_expr[sq[(i, a)]] = EntryExpr(vars=((u, 1.0),))
-                        moment_kind[sq[(i, a)]] = FreeVar(public_of(duo))
-                    else:
-                        moment_expr[sq[(i, a)]] = EntryExpr(const=1.0, vars=((u, -2.0),))
-                        moment_kind[sq[(i, a)]] = FreeVar(public_of(solo))
-            else:
-                u0, u1 = var_of(reps[0]), var_of(reps[1])
-                moment_expr[sq[(i, 0)]] = EntryExpr(vars=((u0, 1.0),))
-                moment_expr[sq[(i, 1)]] = EntryExpr(vars=((u1, 1.0),))
-                moment_expr[sq[(i, 2)]] = EntryExpr(const=1.0, vars=tuple(sorted(
-                    ((u0, -1.0), (u1, -1.0)))))
-                for a in range(3):
-                    moment_kind[sq[(i, a)]] = FreeVar(public_of(reps[a]))
-
+    # At level 1 every basis monomial is in normal form.
+    monos = basis.monomials
+    solver_monos = tuple(m for m in monos if _squared_z(m) is None)
+    sub_index = {m: i for i, m in enumerate(solver_monos)}
+    sub = [sub_index.get(m) for m in monos]
+    expansion = [tuple(sorted((sub_index[nm], cf) for nm, cf in reduce_monomial(m).items()))
+                 for m in monos]
     entry_kind = {}
-    exprs = {}
-    one_mono = Monomial.one()
-    for r in range(D):
-        for c in range(r, D):
-            m = monos[r] * monos[c]
-            if m in moment_kind:
-                entry_kind[(r, c)] = moment_kind[m]
-                exprs[(r, c)] = moment_expr[m]
-                continue
-            if m == one_mono:
-                kind, expr = Constant(1.0), EntryExpr(const=1.0)
-            else:
-                dm = _dataset_moment(ds, m)
-                if dm is not None:
-                    label, val = dm
-                    kind = Data(label)
-                    expr = EntryExpr(data=((label, val, 1.0),))
-                elif general:
-                    expr = classify_general(m)
-                    kind = FreeVar(public_of(m))
-                else:
-                    zero, rep, sgn = orbit_rep(m)
-                    if zero:
-                        kind, expr = Zero(), EntryExpr()
-                    else:
-                        kind = FreeVar(public_of(rep))
-                        expr = EntryExpr(vars=((var_of(rep), float(sgn)),))
-            moment_kind[m] = kind
-            moment_expr[m] = expr
+    solver_exprs = {}
+    for r, mr in enumerate(monos):
+        for c in range(r, len(monos)):
+            kind, expr = classify(mr * monos[c])
             entry_kind[(r, c)] = kind
-            exprs[(r, c)] = expr
+            if sub[r] is not None and sub[c] is not None:
+                solver_exprs[(sub[r], sub[c])] = expr
 
     return MomentMatrixLayout(
-        basis=basis, scheme=scheme, n_sites=n,
-        entry_kind=entry_kind, free_var_count=len(var_reps), var_reps=var_reps,
-        solver_monos=solver_monos,
-        solver_exprs=exprs if solver_exprs is None else solver_exprs,
-        expansion=expansion)
+        basis=basis, scheme=scheme, n_sites=basis.n_sites,
+        entry_kind=entry_kind, free_var_count=len(var_index), var_reps=list(var_index),
+        solver_monos=solver_monos, solver_exprs=solver_exprs, expansion=expansion)
 
 
 def layout_for(ds: CorrelationDataset, level: int = 1, scheme=None,

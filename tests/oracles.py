@@ -62,6 +62,56 @@ def drop_entries(ds: sc.CorrelationDataset, frac: float, seed) -> sc.Correlation
     return sc.CorrelationDataset(ds.n_sites, one, two)
 
 
+def _key_image(key, perm, signs):
+    """Image of a correlator key (i, a) or (i, j, a, b) under one axis map,
+    with the sign the map puts on its value."""
+    if len(key) == 2:
+        i, a = key
+        return (i, perm[a]), signs[a]
+    i, j, a, b = key
+    return (i, j, perm[a], perm[b]), signs[a] * signs[b]
+
+
+def group_mismatch(ds: sc.CorrelationDataset, scheme):
+    """Reference for ``check_scheme_valid`` over every element of the scheme
+    group: the first (element, key) whose stored value the element does not
+    carry onto an equal stored value, or None when the data are invariant."""
+    stored = {**dict(ds.one_items()), **dict(ds.two_items())}
+    for perm, signs in scheme.group_elements():
+        for key, v in stored.items():
+            image, sign = _key_image(tuple(int(k) for k in key), perm, signs)
+            if stored.get(image) != sign * v:
+                return (perm, signs), key
+    return None
+
+
+def group_average(ds: sc.CorrelationDataset, scheme, drop=0.0, seed=0):
+    """The correlators averaged over the scheme group, one orbit of stored
+    keys at a time, so that the result is invariant bit for bit.  An orbit
+    that the group reaches with both signs is zero; absent keys count as
+    zero.  Each orbit is then dropped with probability ``drop``."""
+    stored = {tuple(int(k) for k in key): v
+              for key, v in (*ds.one_items(), *ds.two_items())}
+    group = scheme.group_elements()
+    rng = make_rng(seed)
+    one, two, seen = {}, {}, set()
+    for key in stored:
+        if key in seen:
+            continue
+        images = [_key_image(key, perm, signs) for perm, signs in group]
+        orbit, forced = {}, False
+        for image, sign in images:
+            forced |= orbit.setdefault(image, sign) != sign
+        seen.update(orbit)
+        if rng.random() < drop:
+            continue
+        mean = 0.0 if forced else sum(sign * stored.get(image, 0.0)
+                                      for image, sign in images) / len(group)
+        for image, sign in orbit.items():
+            (one if len(image) == 2 else two)[image] = sign * mean
+    return sc.CorrelationDataset(ds.n_sites, one, two)
+
+
 def entangled_state_dataset(n: int, seed, min_lambda=1e-3):
     """A Haar-state dataset whose level-1 certification detects entanglement;
     retries the seed stream until one is found."""

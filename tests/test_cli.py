@@ -168,8 +168,12 @@ def test_sweep_thermal_heisenberg(tmp_path):
     assert all(r["bipartite_witness"] != "" for r in rows)
 
 
-def test_sweep_empty_grid(tmp_path):
-    assert run(["sweep", "quench-1d", "--n", 6, "--grid", "", "--out", tmp_path]) == 2
+@pytest.mark.parametrize("grid", ["", "1,abc", "1,nan"], ids=["empty", "word", "nan"])
+def test_sweep_empty_grid(tmp_path, capsys, grid):
+    out = tmp_path / "out"
+    assert run(["sweep", "quench-1d", "--n", 6, "--grid", grid, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_sweep_worker_pool(tmp_path):
@@ -213,9 +217,11 @@ def test_rerun_determinism(tmp_path):
     ["certify", "d.json", "--max-iter", 0],
     ["sweep", "quench-1d", "--n", 6, "--grid", 1, "--tol", 0],
     ["sweep", "thermal", "--model", "ising", "--n", 4, "--grid", 1, "--max-iter", 0],
+    ["oracle", "product-search", "w.json", "--n", 2, "--restarts", 0],
+    ["oracle", "product-search", "w.json", "--n", 2, "--restarts", -3],
 ], ids=["missing-lambda", "generate-level", "sweep-scheme", "witness-eval-tol",
         "certify-tol-zero", "certify-max-iter-zero", "sweep-tol-zero",
-        "sweep-max-iter-zero"])
+        "sweep-max-iter-zero", "oracle-restarts-zero", "oracle-restarts-negative"])
 def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)

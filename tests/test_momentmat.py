@@ -1,18 +1,23 @@
 """Monomial bases, schemes, layouts, and the closed-form shortcut."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepcert as sc
+from sepcert.cli import _FORCED_SCHEMES
 from sepcert.errors import MissingData, SchemeMismatch
 from sepcert.momentmat import (Constant, Data, FreeVar, GENERAL_SCHEME,
                                Monomial, SchemeKind, Zero, build_layout,
-                               layout_for, monomial_basis, reduce_monomial,
-                               select_scheme)
+                               check_scheme_valid, layout_for, monomial_basis,
+                               reduce_monomial, select_scheme)
 from sepcert.seporacle import make_rng
 
-from oracles import (mixture_moment, moment_completion, random_state_dataset,
-                     standard_form_rows)
+from oracles import (group_average, group_mismatch, mixture_moment, moment_completion,
+                     random_state_dataset, standard_form_rows)
 
 
 # -- monomials and bases ----------------------------------------------------------
@@ -112,6 +117,43 @@ def test_scheme_validity_enforced():
     rot = sc.SymmetryScheme(SchemeKind.ROTATION_INVARIANT, frozenset({0, 1, 2}), ((0, 1, 2),))
     with pytest.raises(SchemeMismatch):
         build_layout(monomial_basis(4, 1), ds, rot)
+
+
+_VALUES = st.sampled_from((-0.5, 0.0, 0.5))
+
+
+@st.composite
+def small_datasets(draw):
+    """Sparse 2- and 3-site datasets with values in {-0.5, 0, 0.5}.  Some are
+    averaged over a scheme group, and some of those get one value changed,
+    so that each scheme both holds and fails."""
+    n = draw(st.integers(2, 3))
+    one = {(i, a): draw(_VALUES) for i in range(n) for a in range(3) if draw(st.booleans())}
+    two = {(i, j, a, b): draw(_VALUES) for i, j in itertools.combinations(range(n), 2)
+           for a in range(3) for b in range(3) if draw(st.booleans())}
+    ds = sc.CorrelationDataset(n, one, two)
+    scheme = draw(st.sampled_from([None, *_FORCED_SCHEMES.values()]))
+    if scheme is None:
+        return ds
+    ds = group_average(ds, scheme)
+    one, two = ds.one_body, ds.two_body
+    keys = sorted(one) + sorted(two)
+    if keys and draw(st.booleans()):
+        key = draw(st.sampled_from(keys))
+        (one if len(key) == 2 else two)[key] = draw(_VALUES)
+    return sc.CorrelationDataset(n, one, two)
+
+
+@settings(max_examples=300)
+@given(ds=small_datasets())
+def test_scheme_check_on_generators_matches_whole_group(ds):
+    for scheme in [*_FORCED_SCHEMES.values(), select_scheme(ds)]:
+        try:
+            check_scheme_valid(ds, scheme)
+            raised = False
+        except SchemeMismatch:
+            raised = True
+        assert raised == (group_mismatch(ds, scheme) is not None), scheme
 
 
 # -- layouts ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_hamiltonian_matches_dense_pauli_sum(kind):
     assert np.array_equal(hamiltonian(sc.ModelSpec(kind=kind, n=2)).toarray(), 2 * scale * bond)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(kind=st.sampled_from(["heisenberg", "ising"]), n=st.integers(2, 8),
        g=st.floats(0.0, 2.0), log_t=st.floats(-3.0, 3.0))
 def test_thermal_dataset_matches_dense_oracle(kind, n, g, log_t):
