@@ -29,7 +29,7 @@ class PauliAxis(enum.IntEnum):
     Z = 2
 
     def __str__(self):
-        return self.name
+        return "XYZ"[self]
 
     @classmethod
     def coerce(cls, value) -> "PauliAxis":
@@ -46,6 +46,9 @@ class PauliAxis(enum.IntEnum):
 
 
 AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
+
+# Mask over the (n, 3, n, 3) view that selects the same-axis pairs C_ij^aa.
+SAME_AXIS = np.eye(3, dtype=bool)[None, :, None, :]
 
 _LABEL_RE = re.compile(r"^([XYZ])\[(\d+)\]$|^([XYZ])([XYZ])\[(\d+),(\d+)\]$")
 
@@ -115,7 +118,7 @@ class CorrelationDataset:
     value.  Values are validated to lie in [-1, 1] at ingestion.
     """
 
-    __slots__ = ("n_sites", "_one", "_two")
+    __slots__ = ("n_sites", "_one", "_two", "_view")
 
     def __init__(self, n_sites: int, one_body=None, two_body=None):
         n_sites = int(n_sites)
@@ -141,6 +144,7 @@ class CorrelationDataset:
             two[ck] = _check_value(value, ck)
         object.__setattr__(self, "_one", one)
         object.__setattr__(self, "_two", two)
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrelationDataset is immutable")
@@ -186,6 +190,44 @@ class CorrelationDataset:
 
     def two_items(self):
         return self._two.items()
+
+    def arrays(self):
+        """Dense read-only view ``(one, two)`` of the stored correlators.
+
+        ``one[i, a]`` is C_i^a, shape (n, 3); ``two[i, a, j, b]`` is C_ij^ab,
+        shape (n, 3, n, 3) and symmetric under (i, a) <-> (j, b).  An absent
+        correlator is NaN, and so is every i == j block.  Built on the first
+        call; the dataset is immutable, so the view never goes stale.
+        """
+        if self._view is None:
+            n = self.n_sites
+            one = np.full((n, 3), np.nan)
+            two = np.full((n, 3, n, 3), np.nan)
+            # flat offsets from the keys: far cheaper than indexing per entry
+            one.flat[[3 * i + a for i, a in self._one]] = list(self._one.values())
+            two.flat[[(3 * i + a) * 3 * n + 3 * j + b for i, j, a, b in self._two]] = \
+                list(self._two.values())
+            two = np.fmax(two, two.transpose(2, 3, 0, 1))  # mirror (i, a, j, b) onto (j, b, i, a)
+            one.flags.writeable = two.flags.writeable = False
+            object.__setattr__(self, "_view", (one, two))
+        return self._view
+
+    def require(self, what: str, one=False, two=False) -> None:
+        """Raise MissingData naming every absent correlator that the boolean
+        masks select; ``one`` and ``two`` broadcast against the shapes of
+        :meth:`arrays`, and the i == j blocks are never selected."""
+        n = self.n_sites
+        if len(self._one) + len(self._two) == 3 * n + 9 * n * (n - 1) // 2:
+            return  # every correlator is stored
+        v1, v2 = self.arrays()
+        absent = np.isnan(v2) & two
+        absent |= absent.transpose(2, 3, 0, 1)  # a pair is selected from either end
+        labels = [one_body_label(i, a) for i, a in zip(*np.nonzero(np.isnan(v1) & one))]
+        labels += [two_body_label(i, j, a, b)
+                   for i, j, a, b in zip(*np.nonzero(absent.transpose(0, 2, 1, 3))) if i < j]
+        if labels:
+            raise MissingData(f"{what}; {len(labels)} absent (first few: {labels[:6]})",
+                              labels)
 
     def labels(self):
         """All correlator labels in deterministic (site, axis) order."""
@@ -243,27 +285,14 @@ class CorrelationDataset:
     def collective_moments(self) -> CollectiveMoments:
         """Permutation averages m_a = mean_i C_i^a, c_aa = mean_{i != j} C_ij^aa."""
         n = self.n_sites
-        missing = []
-        for a in AXES:
-            for i in range(n):
-                if (i, a) not in self._one:
-                    missing.append(one_body_label(i, a))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (i, j, a, a) not in self._two:
-                        missing.append(two_body_label(i, j, a, a))
-        if missing:
-            raise MissingData(
-                f"collective moments need {len(missing)} absent correlators "
-                f"(first few: {missing[:6]})", missing)
-        m = tuple(sum(self._one[(i, a)] for i in range(n)) / n for a in AXES)
+        self.require("collective moments need every one-body and same-axis pair correlator",
+                     one=True, two=SAME_AXIS)
         if n == 1:
             raise BadKey("collective two-body moments need n_sites >= 2")
-        npairs = n * (n - 1) / 2.0
-        c = tuple(
-            sum(self._two[(i, j, a, a)] for i in range(n) for j in range(i + 1, n)) / npairs
-            for a in AXES)
-        return CollectiveMoments(n_sites=n, m=m, c=c)
+        one, two = self.arrays()
+        pairs = np.diagonal(two, axis1=1, axis2=3)[np.triu_indices(n, 1)]  # (pairs, 3)
+        return CollectiveMoments(n_sites=n, m=tuple(one.mean(axis=0).tolist()),
+                                 c=tuple(pairs.mean(axis=0).tolist()))
 
 
 def new_dataset(n_sites: int, entries=None) -> CorrelationDataset:

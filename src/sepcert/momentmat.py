@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrdata import (AXES, CorrelationDataset, PauliAxis, one_body_label,
-                       two_body_label)
-from .errors import BadKey, MissingData, SchemeMismatch
+from .corrdata import AXES, SAME_AXIS, CorrelationDataset, one_body_label, two_body_label
+from .errors import BadKey, SchemeMismatch
 
 _COMP_NAMES = "xyz"
 
@@ -228,19 +227,28 @@ def _swap(a: int, b: int) -> tuple:
 def _mismatch(ds: CorrelationDataset, perm, signs):
     """First stored correlator that the axis map (perm, signs) does not carry
     onto an equal stored value, as (label, value, image label, stored image
-    value or None, expected value); None when the map preserves the data."""
-    for (i, a), v in ds.one_items():
-        ta = AXES[perm[a]]
-        tv = signs[a] * v
-        got = ds.get_one(i, ta)
-        if got != tv:
-            return one_body_label(i, a), v, one_body_label(i, ta), got, tv
-    for (i, j, a, b), v in ds.two_items():
-        ta, tb = AXES[perm[a]], AXES[perm[b]]
-        tv = signs[a] * signs[b] * v
-        got = ds.get_two(i, j, ta, tb)
-        if got != tv:
-            return two_body_label(i, j, a, b), v, two_body_label(i, j, ta, tb), got, tv
+    value or None, expected value); None when the map preserves the data.
+    An absent image is NaN in the dense view, which equals no expected value."""
+    one, two = ds.arrays()
+    s = np.asarray(signs, dtype=float)
+    p = list(perm)
+    # x == x selects the stored entries; NaN marks an absent one
+    bad = np.flatnonzero((one == one) & (one.take(p, axis=1) != one * s))
+    if bad.size:
+        i, a = divmod(int(bad[0]), 3)
+        v, got = float(one[i, a]), float(one[i, p[a]])
+        return (one_body_label(i, AXES[a]), v, one_body_label(i, AXES[p[a]]),
+                None if got != got else got, float(s[a]) * v)
+    pairs = two.transpose(0, 2, 1, 3)  # (i, j, a, b): the first hit has i < j
+    ss = s[:, None] * s
+    bad = np.flatnonzero((pairs == pairs) & (pairs.take(p, axis=2).take(p, axis=3) != pairs * ss))
+    if bad.size:
+        ij, ab = divmod(int(bad[0]), 9)
+        (i, j), (a, b) = divmod(ij, ds.n_sites), divmod(ab, 3)
+        v, got = float(pairs[i, j, a, b]), float(pairs[i, j, p[a], p[b]])
+        return (two_body_label(i, j, AXES[a], AXES[b]), v,
+                two_body_label(i, j, AXES[p[a]], AXES[p[b]]),
+                None if got != got else got, float(ss[a, b]) * v)
     return None
 
 
@@ -569,18 +577,8 @@ def closed_form_check(ds: CorrelationDataset, tol: float = 1e-9):
         raise SchemeMismatch("closed-form check needs a dataset carrying only the "
                              "rotation-averaged sums c_ij (equal XX=YY=ZZ entries, "
                              "no one-body or cross-axis data)")
-    n = ds.n_sites
-    m = np.eye(n)
-    missing = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            triple = [ds.get_two(i, j, a, a) for a in AXES]
-            if any(v is None for v in triple):
-                missing.append(two_body_label(i, j, PauliAxis.X, PauliAxis.X))
-                continue
-            m[i, j] = m[j, i] = sum(triple)
-    if missing:
-        raise MissingData(
-            f"closed-form check needs all pair sums; {len(missing)} pairs absent", missing)
+    ds.require("closed-form check needs all pair sums", two=SAME_AXIS)
+    m = np.diagonal(ds.arrays()[1], axis1=1, axis2=3).sum(axis=2)  # NaN on the diagonal
+    np.fill_diagonal(m, 1.0)
     min_eig = float(np.linalg.eigvalsh(m)[0])
     return min_eig >= -tol, min_eig

@@ -9,15 +9,14 @@ concurrence diagnostics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._blas import single_blas_thread
-from .corrdata import AXES, CorrelationDataset, PauliAxis, two_body_label
-from .errors import (BadKey, BadNoiseLevel, MissingData, NotDensity,
-                     NotNormalized, TooLarge)
+from .corrdata import AXES, SAME_AXIS, CorrelationDataset, PauliAxis
+from .errors import BadKey, BadNoiseLevel, NotDensity, NotNormalized, TooLarge
 
 ED_SITE_CAP = 14           # chain length cap: states and Gibbs states are dense 2^n arrays
 ED_TEMPERATURE_FLOOR = 1e-3
@@ -350,57 +349,38 @@ class OptimalStructureWitness:
         return self.value < self.bound - 1e-9
 
 
-def _same_axis_matrix(ds: CorrelationDataset, axis: PauliAxis) -> np.ndarray:
-    n = ds.n_sites
-    c = np.eye(n)
-    missing = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = ds.get_two(i, j, axis, axis)
-            if v is None:
-                missing.append(two_body_label(i, j, axis, axis))
-            else:
-                c[i, j] = c[j, i] = v
-    if missing:
-        raise MissingData(
-            f"structure factor along {axis} needs {len(missing)} absent correlators "
-            f"(first few: {missing[:6]})", missing)
-    return c
-
-
-def structure_factor(ds: CorrelationDataset, k: float, axis: PauliAxis,
-                     positions=None) -> StructureFactorValue:
-    """S_k^a = n^-1 sum_{j,j'} exp[i k (r_j' - r_j)] C_jj'^aa with the
-    diagonal term C_jj^aa = 1 included."""
+def structure_factor_curve(ds: CorrelationDataset, k_grid, axis: PauliAxis,
+                           positions=None) -> np.ndarray:
+    """S_k^a = n^-1 sum_{j,j'} exp[i k.(r_j' - r_j)] C_jj'^aa, with the
+    diagonal term C_jj^aa = 1 included, for every k in the grid in one
+    vectorized pass.  Positions of shape (n,) (default 0..n-1) take scalar
+    wavevectors, positions of shape (n, d) take d-vectors."""
     axis = PauliAxis.coerce(axis)
     n = ds.n_sites
     r = np.arange(n, dtype=float) if positions is None else np.asarray(positions, dtype=float)
-    if r.shape[0] != n:
-        raise BadKey(f"positions must have length {n}")
-    c = _same_axis_matrix(ds, axis)
-    if r.ndim == 1:
-        phases = np.exp(1j * float(k) * r)
-    else:
-        phases = np.exp(1j * (r @ np.asarray(k, dtype=float)))
-    value = float(np.real(np.conj(phases) @ c @ phases)) / n
-    return StructureFactorValue(k=k, axis=axis, value=value)
+    ks = np.asarray(list(k_grid), dtype=float)
+    if r.ndim == 1:  # a chain: scalar wavevectors
+        r, ks = r[:, None], ks[:, None]
+    if r.ndim != 2 or r.shape[0] != n or ks.ndim != 2 or ks.shape[1] != r.shape[1]:
+        raise BadKey(f"positions must have shape ({n},) with scalar wavevectors or "
+                     f"({n}, d) with d-vector wavevectors")
+    ds.require(f"structure factor along {axis} needs every {axis}{axis} pair",
+               two=SAME_AXIS & (np.arange(3) == axis)[:, None, None])
+    c = np.where(np.eye(n, dtype=bool), 1.0, ds.arrays()[1][:, axis, :, axis])
+    phases = np.exp(1j * (r @ ks.T))  # (n, nk)
+    return np.real(np.einsum("ik,ij,jk->k", phases.conj(), c, phases)) / n
+
+
+def structure_factor(ds: CorrelationDataset, k, axis: PauliAxis,
+                     positions=None) -> StructureFactorValue:
+    """S_k^a at one wavevector: the structure-factor curve at k alone."""
+    value = structure_factor_curve(ds, [k], axis, positions)[0]
+    return StructureFactorValue(k=k, axis=PauliAxis.coerce(axis), value=float(value))
 
 
 def commensurate_grid(n: int) -> np.ndarray:
     """Chain wavevectors k = 2 pi m / n for m = 0..n-1."""
     return 2.0 * np.pi * np.arange(n) / n
-
-
-def structure_factor_curve(ds: CorrelationDataset, k_grid, axis: PauliAxis,
-                           positions=None) -> np.ndarray:
-    """S_k^a for every k in the grid in one vectorized pass (chain geometry)."""
-    axis = PauliAxis.coerce(axis)
-    n = ds.n_sites
-    r = np.arange(n, dtype=float) if positions is None else np.asarray(positions, dtype=float)
-    c = _same_axis_matrix(ds, axis)
-    ks = np.asarray(list(k_grid), dtype=float)
-    phases = np.exp(1j * np.outer(r, ks))  # (n, nk)
-    return np.real(np.einsum("ik,ij,jk->k", phases.conj(), c, phases)) / n
 
 
 def optimal_structure_witness(ds: CorrelationDataset, k_grid,
@@ -409,14 +389,10 @@ def optimal_structure_witness(ds: CorrelationDataset, k_grid,
     k_grid = list(k_grid)
     if not k_grid:
         raise BadKey("k_grid must be nonempty")
-    best_k, best_v = [], []
-    for axis in AXES:
-        vals = structure_factor_curve(ds, k_grid, axis, positions)
-        idx = int(np.argmin(vals))
-        best_k.append(k_grid[idx])
-        best_v.append(float(vals[idx]))
-    return OptimalStructureWitness(k_x=best_k[0], k_y=best_k[1], k_z=best_k[2],
-                                   value=float(sum(best_v)))
+    curves = np.array([structure_factor_curve(ds, k_grid, a, positions) for a in AXES])
+    best = curves.argmin(axis=1)
+    return OptimalStructureWitness(*(k_grid[i] for i in best),
+                                   value=float(sum(curves[range(3), best].tolist())))
 
 
 # -- two-qubit densities and concurrence --------------------------------------

@@ -175,6 +175,8 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
     Returns ``(best_value, best_state)``; ties break by restart index via
     argmax.
     """
+    if int(restarts) < 1 or int(n) < 1:
+        raise BadKey(f"need restarts >= 1 and n >= 1, got restarts={restarts}, n={n}")
     rng = make_rng(seed)
     terms = _WitnessTerms(witness, n)
     B = int(restarts)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrdata import (AXES, CorrelationDataset, PauliAxis, two_body_label)
+from .corrdata import AXES, SAME_AXIS, CorrelationDataset
 from .errors import (BadKey, BadSize, MissingData, ParseError, WrongSize)
 from .physmodels import structure_factor
 from .sdpcore import BlockSdp, InteriorPointSolver, SdpStatus, SolverOptions
@@ -129,20 +129,10 @@ def phase_witness_value(ds: CorrelationDataset, phases=None) -> WitnessEvaluatio
     phases."""
     n = ds.n_sites
     phi = _phases_array(phases, n)
-    total = 0.0
-    missing = []
-    for a in AXES:
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = ds.get_two(i, j, a, a)
-                if v is None:
-                    missing.append(two_body_label(i, j, a, a))
-                    continue
-                total += 2.0 * np.cos(phi[j, int(a)] - phi[i, int(a)]) * v
-    if missing:
-        raise MissingData(
-            f"phase witness needs all same-axis pairs; {len(missing)} absent "
-            f"(first few: {missing[:6]})", missing)
+    ds.require("phase witness needs all same-axis pairs", two=SAME_AXIS)
+    iu = np.triu_indices(n, 1)
+    corr = np.diagonal(ds.arrays()[1], axis1=1, axis2=3)[iu]  # (pairs, 3)
+    total = float(np.sum(2.0 * np.cos(phi[iu[1]] - phi[iu[0]]) * corr))
     return _verdict(total, -float(n), "lower")
 
 
@@ -216,20 +206,14 @@ def bipartite_witness_value(ds: CorrelationDataset, phases=None) -> WitnessEvalu
         raise BadSize(f"bipartite interface witness needs n divisible by 4, got {n}")
     phi = _phases_array(phases, n)
     kernel = bipartite_kernel(n)
-    total = 0.0
-    missing = []
-    for i in range(0, n, 2):        # sublattice A: even sites
-        for j in range(1, n, 2):    # sublattice B: odd sites
-            for a in AXES:
-                v = ds.get_two(min(i, j), max(i, j), a, a)
-                if v is None:
-                    missing.append(two_body_label(min(i, j), max(i, j), a, a))
-                    continue
-                total += kernel.k(j - i) * v * np.cos(phi[i, int(a)] - phi[j, int(a)])
-    if missing:
-        raise MissingData(
-            f"bipartite witness needs all inter-partition same-axis pairs; "
-            f"{len(missing)} absent (first few: {missing[:6]})", missing)
+    site = np.arange(n)
+    ds.require("bipartite witness needs all inter-partition same-axis pairs",
+               two=SAME_AXIS & ((site[:, None] + site) % 2 == 1)[:, None, :, None])
+    a_sites, b_sites = site[0::2], site[1::2]     # the even|odd bipartition
+    corr = np.diagonal(ds.arrays()[1], axis1=1, axis2=3)[np.ix_(a_sites, b_sites)]
+    k = kernel.values[np.abs(b_sites - a_sites[:, None])]
+    total = float(np.sum(k[:, :, None] * corr
+                         * np.cos(phi[a_sites, None] - phi[b_sites])))
     return _verdict(total, -n / 2.0, "lower")
 
 
@@ -298,30 +282,11 @@ def cmc_check(ds: CorrelationDataset, tol: float = 1e-8) -> CmcResult:
     if ds.n_sites != 3:
         raise WrongSize(f"covariance-matrix criterion implemented for 3 qubits, "
                         f"got n={ds.n_sites}")
-    missing = []
-    cvec = np.empty(9)
-    for i in range(3):
-        for a in AXES:
-            v = ds.get_one(i, a)
-            if v is None:
-                missing.append(f"{a}[{i}]")
-            else:
-                cvec[3 * i + int(a)] = v
-    cmat = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for a in AXES:
-                for b in AXES:
-                    v = ds.get_two(i, j, a, b)
-                    if v is None:
-                        missing.append(two_body_label(i, j, a, b))
-                    else:
-                        cmat[3 * i + int(a), 3 * j + int(b)] = v
-                        cmat[3 * j + int(b), 3 * i + int(a)] = v
-    if missing:
-        raise MissingData(
-            f"covariance-matrix criterion needs the full one- and two-body set; "
-            f"{len(missing)} absent (first few: {missing[:6]})", missing)
+    ds.require("covariance-matrix criterion needs the full one- and two-body set",
+               one=True, two=True)
+    one, two = ds.arrays()
+    cvec = one.ravel()
+    cmat = np.nan_to_num(two.reshape(9, 9), nan=0.0)  # the i == j blocks are NaN
 
     # Feasibility as max-margin: maximize s with (big block - C C^T - s I) and
     # every (rho_i - s I) PSD.  Variables: s plus 5 per site (unit trace).

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepcert as sc
 from sepcert import corrdata
@@ -156,6 +158,71 @@ def _random_dataset(n, rng):
         a, b = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         two[(int(i), int(j), sc.PauliAxis(a), sc.PauliAxis(b))] = float(rng.uniform(-1, 1))
     return sc.CorrelationDataset(n, one, two)
+
+
+# -- dense view and the missing-data check ------------------------------------------
+
+
+@st.composite
+def partial_datasets(draw):
+    """Datasets on 1-4 sites holding a random subset of the correlators,
+    with values drawn from the boundary points -1, 0, 1 and from [-1, 1]."""
+    n = draw(st.integers(1, 4))
+    value = st.sampled_from([-1.0, 0.0, 1.0, -0.0]) | st.floats(-1.0, 1.0)
+    ones = [(i, a) for i in range(n) for a in sc.AXES]
+    twos = [(i, j, a, b) for i in range(n) for j in range(i + 1, n)
+            for a in sc.AXES for b in sc.AXES]
+    keep = draw(st.lists(st.booleans(), min_size=len(ones) + len(twos),
+                         max_size=len(ones) + len(twos)))
+    entries = {}
+    for key, kept in zip(ones + twos, keep):
+        if kept:  # two-body keys stored under either site order
+            flip = len(key) == 4 and draw(st.booleans())
+            entries[(key[1], key[0], key[3], key[2]) if flip else key] = draw(value)
+    return sc.new_dataset(n, entries)
+
+
+@settings(max_examples=150)
+@given(partial_datasets())
+def test_arrays_match_accessors(ds):
+    one, two = ds.arrays()
+    n = ds.n_sites
+    assert one.shape == (n, 3) and two.shape == (n, 3, n, 3)
+    assert not one.flags.writeable and not two.flags.writeable
+    with pytest.raises(ValueError):
+        one[0, 0] = 0.5
+    assert ds.arrays()[1] is two  # built once
+    for i in range(n):
+        for a in sc.AXES:
+            v = ds.get_one(i, a)
+            assert np.isnan(one[i, a]) if v is None else one[i, a] == v
+            for j in range(n):
+                for b in sc.AXES:
+                    if i == j:
+                        assert np.isnan(two[i, a, j, b])
+                        continue
+                    v = ds.get_two(i, j, a, b)
+                    assert np.isnan(two[i, a, j, b]) if v is None else two[i, a, j, b] == v
+    assert np.array_equal(two, two.transpose(2, 3, 0, 1), equal_nan=True)
+
+
+def test_require_names_absent_correlators_once():
+    ds = sc.new_dataset(3, {(0, "X"): 0.1, (2, 1, "Y", "Z"): 0.2, (0, 1, "Z", "Z"): 0.3})
+    x0, zz01 = np.zeros((3, 3), bool), np.zeros((3, 3, 3, 3), bool)
+    x0[0, 0] = zz01[0, 2, 1, 2] = True
+    ds.require("nothing absent", one=x0, two=zz01)
+    with pytest.raises(MissingData) as exc:
+        ds.require("need everything at site 0 and the same-axis pairs",
+                   one=np.arange(3)[:, None] == 0, two=corrdata.SAME_AXIS)
+    assert exc.value.missing == ["Y[0]", "Z[0]", "XX[0,1]", "YY[0,1]", "XX[0,2]", "YY[0,2]",
+                                 "ZZ[0,2]", "XX[1,2]", "YY[1,2]", "ZZ[1,2]"]
+    assert str(exc.value).startswith(
+        "need everything at site 0 and the same-axis pairs; 10 absent (first few: "
+        "['Y[0]', 'Z[0]', 'XX[0,1]'")
+    with pytest.raises(MissingData) as exc:  # a mask on (j, b, i, a) names the pair once
+        ds.require("one pair", two=np.arange(3)[None, None, :, None] == 0)
+    assert exc.value.missing == [f"{a}{b}[0,{j}]" for j in (1, 2) for a in "XYZ"
+                                 for b in "XYZ" if (j, a, b) not in ((1, "Z", "Z"),)]
 
 
 # -- collective moments -----------------------------------------------------------

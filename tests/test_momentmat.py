@@ -288,8 +288,10 @@ def test_closed_form_psd():
 
 def test_closed_form_missing_pair():
     ds = sc.new_dataset(3, {(0, 1, a, a): -1.0 / 3.0 for a in "XYZ"})
-    with pytest.raises(MissingData):
+    with pytest.raises(MissingData) as exc:
         sc.closed_form_check(ds)
+    assert exc.value.missing == ["XX[0,2]", "YY[0,2]", "ZZ[0,2]",
+                                 "XX[1,2]", "YY[1,2]", "ZZ[1,2]"]
 
 
 def test_closed_form_wrong_shape():

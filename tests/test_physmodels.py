@@ -306,6 +306,37 @@ def test_structure_factor_curve_matches_pointwise():
         assert abs(v - sc.structure_factor(ds, k, "Y").value) < 1e-12
 
 
+@pytest.mark.parametrize("positions, k", [
+    (np.arange(5.0), 0.5),                     # too few sites
+    (np.zeros((8, 2)), 0.5),                   # 2-d positions with a scalar k
+    (np.zeros((8, 2)), (0.5, 0.1, 0.2)),       # 2-d positions with a 3-vector k
+    (np.arange(8.0), (0.5, 0.1)),              # 1-d positions with a vector k
+])
+def test_structure_factor_positions_checked(positions, k):
+    ds = _all_up_dataset(8)
+    with pytest.raises(BadKey):
+        sc.structure_factor(ds, k, "Z", positions)
+    with pytest.raises(BadKey):
+        sc.structure_factor_curve(ds, [k, k], "Z", positions)
+    with pytest.raises(BadKey):
+        sc.optimal_structure_witness(ds, [k, k], positions)
+
+
+def test_structure_factor_plane_positions():
+    """(n, 2) positions with 2-vector wavevectors: a ring laid out in the
+    plane along x gives the chain values."""
+    from oracles import random_state_dataset
+    ds = random_state_dataset(4, 5)
+    plane = np.stack([np.arange(4.0), np.zeros(4)], axis=1)
+    grid = sc.commensurate_grid(4)
+    chain = sc.structure_factor_curve(ds, grid, "X")
+    flat = sc.structure_factor_curve(ds, [(k, 0.3) for k in grid], "X", plane)
+    assert np.allclose(flat, chain, atol=1e-12)
+    assert sc.structure_factor(ds, (grid[1], 0.3), "X", plane).value == flat[1]
+    best = sc.optimal_structure_witness(ds, [(k, 0.3) for k in grid], plane)
+    assert best.k_x == (grid[int(np.argmin(chain))], 0.3)
+
+
 def test_optimal_structure_witness_product_saturates():
     ds = _all_up_dataset(8)
     opt = sc.optimal_structure_witness(ds, sc.commensurate_grid(8))

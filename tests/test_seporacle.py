@@ -136,3 +136,10 @@ def test_max_over_product_states_bad_label():
     wit = sc.Witness(coefficients={"Z[5]": 1.0}, separable_bound=1.0)
     with pytest.raises(sc.BadKey):
         sc.max_over_product_states(wit, 3, restarts=4, seed=0)
+
+
+@pytest.mark.parametrize("n, restarts", [(3, 0), (3, -2), (0, 4)])
+def test_max_over_product_states_bad_sizes(n, restarts):
+    wit = sc.Witness(coefficients={"Z[0]": 1.0}, separable_bound=1.0)
+    with pytest.raises(sc.BadKey):
+        sc.max_over_product_states(wit, n, restarts=restarts, seed=0)

@@ -312,3 +312,51 @@ def test_cmc_errors():
     ds = sc.new_dataset(3, {(0, 1, "X", "X"): 0.5})
     with pytest.raises(MissingData):
         sc.cmc_check(ds)
+
+
+# -- absent correlators, family by family ---------------------------------------------
+
+
+def _two_absent(n):
+    """Full product-state data on n sites with Y[1] and ZZ[0,1] absent."""
+    ds = sc.dataset_of(sc.random_product_state(n, 21))
+    return sc.CorrelationDataset(
+        n, {k: v for k, v in ds.one_items() if k != (1, sc.PauliAxis.Y)},
+        {k: v for k, v in ds.two_items() if k != (0, 1, sc.PauliAxis.Z, sc.PauliAxis.Z)})
+
+
+@pytest.mark.parametrize("family, n, missing", [
+    ("collective", 4, {"Y[1]", "ZZ[0,1]"}),
+    ("phase", 4, {"ZZ[0,1]"}),
+    ("bipartite", 4, {"ZZ[0,1]"}),
+    ("structure_factor", 4, {"ZZ[0,1]"}),
+    ("structure_curve", 4, {"ZZ[0,1]"}),
+    ("optimal_structure", 4, {"ZZ[0,1]"}),
+    ("structure_witness", 4, {"ZZ[0,1]"}),
+    ("cmc", 3, {"Y[1]", "ZZ[0,1]"}),
+])
+def test_family_missing_labels(family, n, missing):
+    ds = _two_absent(n)
+    grid = sc.commensurate_grid(n)
+    call = {
+        "collective": lambda: ds.collective_moments(),
+        "phase": lambda: sc.phase_witness_value(ds),
+        "bipartite": lambda: sc.bipartite_witness_value(ds),
+        "structure_factor": lambda: sc.structure_factor(ds, 0.5, "Z"),
+        "structure_curve": lambda: sc.structure_factor_curve(ds, grid, "Z"),
+        "optimal_structure": lambda: sc.optimal_structure_witness(ds, grid),
+        "structure_witness": lambda: sc.structure_witness_value(ds, 0.0, 0.0, 0.0),
+        "cmc": lambda: sc.cmc_check(ds),
+    }[family]
+    with pytest.raises(MissingData) as exc:
+        call()
+    assert set(exc.value.missing) == missing
+    assert len(exc.value.missing) == len(missing)
+
+
+def test_families_ignore_absent_entries_they_do_not_read():
+    ds = _two_absent(4)
+    assert sc.structure_factor(ds, 0.5, "X").value == pytest.approx(
+        sc.structure_factor(sc.dataset_of(sc.random_product_state(4, 21)), 0.5, "X").value,
+        abs=1e-12)
+    sc.structure_factor_curve(ds, sc.commensurate_grid(4), "Y")
