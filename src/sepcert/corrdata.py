@@ -149,6 +149,11 @@ class CorrelationDataset:
     def __setattr__(self, name, value):
         raise AttributeError("CorrelationDataset is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: restoring the slots would
+        # go through the __setattr__ above
+        return type(self), (self.n_sites, self._one, self._two)
+
     # -- accessors ---------------------------------------------------------
 
     @property

@@ -10,8 +10,12 @@ built into those expressions: a square z_i^2 is written as 1 - x_i^2 - y_i^2.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import enum
 import itertools
+import threading
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +24,12 @@ from .corrdata import AXES, SAME_AXIS, CorrelationDataset, one_body_label, two_b
 from .errors import BadKey, SchemeMismatch
 
 _COMP_NAMES = "xyz"
+# Symbolic layouts are kept per dataset shape, least recently used out
+# first, while their entry counts sum to at most this; the newest is kept
+# whatever its size.  Sweeps, trials and panels run many datasets of a few
+# shapes, and a layout holds about 0.45 kB per entry (8.5 MB for the 18,721
+# entries of an n=64 quench), growing as the square of the basis.
+LAYOUT_CACHE_ENTRIES = 2 ** 13
 
 
 # -- monomials ----------------------------------------------------------------
@@ -334,6 +344,8 @@ class MomentMatrixLayout:
     ``entry_kind`` maps canonical positions (r <= c) to Constant / Data /
     FreeVar / Zero; ``free_var_count`` counts the independent unknowns after
     tie-merging and per-site elimination through the quadratic constraint.
+    Every field but ``solver_exprs`` depends on the dataset's shape only and
+    is immutable, so layouts of one shape share them.
 
     At levels >= 2 the full basis contains {1, x_i^2, y_i^2, z_i^2}, which
     are linearly dependent on the sphere, so every valid moment matrix is
@@ -346,13 +358,13 @@ class MomentMatrixLayout:
     basis: MonomialBasis
     scheme: SymmetryScheme
     n_sites: int
-    entry_kind: dict
+    entry_kind: types.MappingProxyType
     free_var_count: int
     # internal: the unknowns' monomials and the solver-basis entry expressions
-    var_reps: list = field(repr=False, default_factory=list)
+    var_reps: tuple = field(repr=False, default=())
     solver_monos: tuple = field(repr=False, default=())
     solver_exprs: dict = field(repr=False, default_factory=dict)
-    expansion: list = field(repr=False, default_factory=list)
+    expansion: tuple = field(repr=False, default=())
 
     @property
     def dim(self) -> int:
@@ -409,11 +421,42 @@ class MomentMatrixLayout:
 
 
 def _stored_moments(ds: CorrelationDataset) -> dict:
-    """Stored correlators keyed by their monomial's factors: {factors: (label, value)}."""
-    out = {((i, int(a)),): (one_body_label(i, a), v) for (i, a), v in ds.one_items()}
-    out.update((((i, int(a)), (j, int(b))), (two_body_label(i, j, a, b), v))
-               for (i, j, a, b), v in ds.two_items())
+    """Stored correlators keyed by their monomial's factors: {factors: (label,
+    flat index of the value in ``_flat_values(ds)``)}."""
+    n = ds.n_sites
+    out = {((i, int(a)),): (one_body_label(i, a), 3 * i + a) for (i, a), _ in ds.one_items()}
+    out.update((((i, int(a)), (j, int(b))),
+                (two_body_label(i, j, a, b), 3 * n * (1 + 3 * i + a) + 3 * j + b))
+               for (i, j, a, b), _ in ds.two_items())
     return out
+
+
+def _flat_values(ds: CorrelationDataset) -> list:
+    one, two = ds.arrays()
+    return np.concatenate((one.ravel(), two.ravel())).tolist()
+
+
+def _check_basis(basis: MonomialBasis, ds: CorrelationDataset, scheme: SymmetryScheme):
+    if ds.n_sites != basis.n_sites:
+        raise BadKey(f"dataset has {ds.n_sites} sites, basis was built for {basis.n_sites}")
+    if (basis.level > 1 or basis.extras) and scheme.kind is not SchemeKind.GENERAL:
+        raise SchemeMismatch("symmetrization schemes are established only for the "
+                             "level-1 basis; use the general scheme at higher levels")
+    for m in basis.extras:
+        if _squared_z(m) is not None:
+            raise BadKey(
+                f"extra monomial {m} contains a squared z factor; its row adds "
+                f"nothing beyond the normal-form monomials of its expansion, "
+                f"which should be supplied as extras instead")
+
+
+def _bind(template: MomentMatrixLayout, ds: CorrelationDataset) -> MomentMatrixLayout:
+    """The layout of ``ds`` from a template of its shape: each data term's
+    flat index becomes the dataset's value."""
+    vals = _flat_values(ds)
+    return dataclasses.replace(template, solver_exprs={
+        key: EntryExpr(e.const, tuple([(lbl, vals[k], cf) for lbl, k, cf in e.data]), e.vars)
+        if e.data else e for key, e in template.solver_exprs.items()})
 
 
 def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
@@ -432,19 +475,16 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
     general layout supports any level and hybrid extras.  The data must carry
     the scheme's shape exactly, or SchemeMismatch is raised.
     """
-    if ds.n_sites != basis.n_sites:
-        raise BadKey(f"dataset has {ds.n_sites} sites, basis was built for {basis.n_sites}")
-    if (basis.level > 1 or basis.extras) and scheme.kind is not SchemeKind.GENERAL:
-        raise SchemeMismatch("symmetrization schemes are established only for the "
-                             "level-1 basis; use the general scheme at higher levels")
+    _check_basis(basis, ds, scheme)
     check_scheme_valid(ds, scheme)
-    for m in basis.extras:
-        if _squared_z(m) is not None:
-            raise BadKey(
-                f"extra monomial {m} contains a squared z factor; its row adds "
-                f"nothing beyond the normal-form monomials of its expansion, "
-                f"which should be supplied as extras instead")
+    return _bind(_template(basis, ds, scheme), ds)
 
+
+def _template(basis: MonomialBasis, ds: CorrelationDataset,
+              scheme: SymmetryScheme) -> MomentMatrixLayout:
+    """The layout of the dataset's shape: a data term of ``solver_exprs``
+    holds the flat index of its value in ``_flat_values`` in place of the
+    value, and nothing else reads a value."""
     stored = _stored_moments(ds)
     moves = [(perm, frozenset(a for a in range(3) if signs[a] == -1))
              for perm, signs in scheme.group_elements() if (perm, signs) != (_IDENTITY, _NO_FLIP)]
@@ -504,8 +544,8 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
             if not nm.factors:
                 const += cf
             elif dm is not None:
-                label, val = dm
-                data[label] = (val, data.get(label, (val, 0.0))[1] + cf)
+                label, flat = dm
+                data[label] = (flat, data.get(label, (flat, 0.0))[1] + cf)
             else:
                 zero, rep, sgn = orbit_rep(nm)
                 if not zero:
@@ -520,7 +560,7 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
             zero, rep, _ = orbit_rep(m)
             kind = Zero() if zero else FreeVar(public_of(rep))
         out = memo[m] = kind, EntryExpr(
-            const=const, data=tuple((lbl, v, c) for lbl, (v, c) in sorted(data.items())),
+            const=const, data=tuple((lbl, k, c) for lbl, (k, c) in sorted(data.items())),
             vars=tuple(sorted(varc.items())))
         return out
 
@@ -532,8 +572,8 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
     solver_monos = tuple(m for m in monos if _squared_z(m) is None)
     sub_index = {m: i for i, m in enumerate(solver_monos)}
     sub = [sub_index.get(m) for m in monos]
-    expansion = [tuple(sorted((sub_index[nm], cf) for nm, cf in reduce_monomial(m).items()))
-                 for m in monos]
+    expansion = tuple(tuple(sorted((sub_index[nm], cf) for nm, cf in reduce_monomial(m).items()))
+                      for m in monos)
     entry_kind = {}
     solver_exprs = {}
     for r, mr in enumerate(monos):
@@ -545,21 +585,50 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
 
     return MomentMatrixLayout(
         basis=basis, scheme=scheme, n_sites=basis.n_sites,
-        entry_kind=entry_kind, free_var_count=len(var_index), var_reps=list(var_index),
-        solver_monos=solver_monos, solver_exprs=solver_exprs, expansion=expansion)
+        entry_kind=types.MappingProxyType(entry_kind), free_var_count=len(var_index),
+        var_reps=tuple(var_index), solver_monos=solver_monos, solver_exprs=solver_exprs,
+        expansion=expansion)
+
+
+_templates = collections.OrderedDict()
+_templates_lock = threading.Lock()
 
 
 def layout_for(ds: CorrelationDataset, level: int = 1, scheme=None,
                extras=()) -> MomentMatrixLayout:
-    """Basis + scheme selection + layout in one step.
+    """Basis + scheme selection + layout in one step, equal to
+    ``build_layout`` on the selected scheme.
 
-    ``scheme=None`` auto-detects at level 1 and uses the general scheme at
-    higher levels or with extras.
+    ``scheme=None`` selects at level 1 (``select_scheme`` returns only
+    schemes the data carry) and uses the general scheme at higher levels or
+    with extras; an explicit scheme is checked against the data.  The
+    symbolic layout is built once per shape, keyed by (n, level, extras,
+    scheme, which correlators are stored), and the recent shapes are kept
+    within LAYOUT_CACHE_ENTRIES entries; each call binds its own dataset's
+    values.
     """
     basis = monomial_basis(ds.n_sites, level, extras)
-    if scheme is None:
+    explicit = scheme is not None
+    if not explicit:
         scheme = select_scheme(ds) if (level == 1 and not extras) else GENERAL_SCHEME
-    return build_layout(basis, ds, scheme)
+    _check_basis(basis, ds, scheme)
+    if explicit:
+        check_scheme_valid(ds, scheme)
+    one, two = ds.arrays()
+    key = (basis.n_sites, basis.level, basis.extras, scheme,
+           np.packbits(one == one).tobytes(), np.packbits(two == two).tobytes())
+    with _templates_lock:
+        template = _templates.get(key)
+        if template is not None:
+            _templates.move_to_end(key)
+    if template is None:
+        template = _template(basis, ds, scheme)
+        with _templates_lock:
+            _templates[key] = template
+            size = sum(len(t.entry_kind) for t in _templates.values())
+            while size > LAYOUT_CACHE_ENTRIES and len(_templates) > 1:
+                size -= len(_templates.popitem(last=False)[1].entry_kind)
+    return _bind(template, ds)
 
 
 # -- the fully reduced closed form ---------------------------------------------

@@ -40,6 +40,10 @@ STEP_FRACTION = 0.98
 # Doubles in one chunk's (nb, d, d) stack of W F W products in the Schur
 # build (1 MB): a chunk stays in cache between its product and its transpose.
 SCHUR_CHUNK_DOUBLES = 2 ** 17
+# Rows of one solver block that consecutive small blocks are packed into:
+# below this size an iteration's cost is fixed work per block (LAPACK calls
+# and Python), not arithmetic.
+PACK_DIM = 48
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,14 @@ class SdpStatus(str, enum.Enum):
 class BlockSdp:
     """min c.u  s.t.  G_b(u) = F0_b + sum_t u_t F_tb >= 0 for every block b.
 
-    Matrices are stored as full symmetric triplet lists per block; ``kmat``
-    maps u linearly onto the stacked matrix entries.
+    Callers declare logical blocks (``block_dims``) and address entries by
+    logical block.  The solver iterates over ``solver_dims``: consecutive
+    logical blocks share one solver block, on its diagonal, while it stays
+    within PACK_DIM rows, and a larger logical block is a solver block of its
+    own.  ``pack[b]`` is the (solver block, row offset) of logical block b,
+    and :meth:`unpack` returns the logical blocks of per-solver-block
+    matrices.  Matrices are stored as full symmetric triplet lists per
+    solver block; ``kmat`` maps u linearly onto the stacked matrix entries.
     """
 
     def __init__(self, block_dims, n_vars, c, initial_u=None):
@@ -78,17 +88,34 @@ class BlockSdp:
         self.n_vars = int(n_vars)
         self.c = np.asarray(c, dtype=float)
         self.initial_u = None if initial_u is None else np.asarray(initial_u, dtype=float)
-        self._f0 = [np.zeros((d, d)) for d in self.block_dims]
-        self._trip = [([], [], [], []) for _ in self.block_dims]  # var, row, col, val
+        self.solver_dims, self.pack = [], []
+        for d in self.block_dims:
+            if self.solver_dims and self.solver_dims[-1] + d <= PACK_DIM:
+                self.pack.append((len(self.solver_dims) - 1, self.solver_dims[-1]))
+                self.solver_dims[-1] += d
+            else:
+                self.pack.append((len(self.solver_dims), 0))
+                self.solver_dims.append(d)
+        self._f0 = [np.zeros((d, d)) for d in self.solver_dims]
+        self._trip = [([], [], [], []) for _ in self.solver_dims]  # var, row, col, val
         self._finalized = False
 
+    def unpack(self, blocks):
+        """The logical blocks of per-solver-block matrices, in order."""
+        return [blocks[sb][off:off + d, off:off + d]
+                for (sb, off), d in zip(self.pack, self.block_dims)]
+
     def add_const(self, block, r, c, value):
+        block, off = self.pack[block]
+        r, c = r + off, c + off
         f0 = self._f0[block]
         f0[r, c] += value
         if r != c:
             f0[c, r] += value
 
     def add_coeff(self, block, var, r, c, value):
+        block, off = self.pack[block]
+        r, c = r + off, c + off
         tv, tr, tc, tval = self._trip[block]
         tv.append(var)
         tr.append(r)
@@ -104,7 +131,7 @@ class BlockSdp:
         self.f0 = self._f0
         self.kmat = []
         self.schur_plan = []
-        for b, d in enumerate(self.block_dims):
+        for b, d in enumerate(self.solver_dims):
             tv = np.array(self._trip[b][0], dtype=int)
             tr = np.array(self._trip[b][1], dtype=int)
             tc = np.array(self._trip[b][2], dtype=int)
@@ -126,9 +153,9 @@ class BlockSdp:
     # -- linear maps --------------------------------------------------------
 
     def g_of(self, u):
-        """G(u) per block."""
+        """G(u) per solver block."""
         out = []
-        for b, d in enumerate(self.block_dims):
+        for b, d in enumerate(self.solver_dims):
             m = self.f0[b].ravel() + self.kmat[b] @ u
             out.append(m.reshape(d, d))
         return out
@@ -141,9 +168,9 @@ class BlockSdp:
         return out
 
     def apply_at(self, v):
-        """A*(v) = sum_t v_t F_t, per block."""
+        """A*(v) = sum_t v_t F_t, per solver block."""
         out = []
-        for b, d in enumerate(self.block_dims):
+        for b, d in enumerate(self.solver_dims):
             out.append((self.kmat[b] @ v).reshape(d, d))
         return out
 
@@ -181,8 +208,8 @@ def _schur_chunks(tv, tr, tc, tval, d):
 class IpmResult:
     status: SdpStatus
     u: np.ndarray
-    x_blocks: list          # certificate-side matrix X, the source of every certificate
-    s_blocks: list          # G(u) at the returned u
+    x_blocks: list          # certificate-side X per solver block, the source of every certificate
+    s_blocks: list          # G(u) at the returned u, per solver block
     obj: float              # c.u
     gap: float
     pinfeas: float
@@ -241,7 +268,7 @@ class InteriorPointSolver:
         opts = self.options
         if not prob._finalized:
             prob.finalize()
-        dims = prob.block_dims
+        dims = prob.solver_dims
         n = prob.n_vars
         b_vec = prob.c  # right-hand side of the certificate-side constraints
         dtot = sum(dims)
@@ -434,8 +461,8 @@ def uniform_sphere_moment(m: Monomial) -> float:
 class SdpProblem:
     """The noise-robustness program for one layout in its reduced form.
 
-    The reduced problem solves Gamma as one block per connected component of
-    its entry pattern, after the scalar block of lambda; ``gamma_blocks``
+    The reduced problem declares Gamma as one block per connected component
+    of its entry pattern, after the scalar block of lambda; ``gamma_blocks``
     holds each component's solver-basis indices.
     """
 
@@ -444,8 +471,9 @@ class SdpProblem:
     gamma_blocks: list = field(repr=False)
 
     def solver_gamma(self, blocks):
-        """Solver-basis Gamma from the reduced problem's per-component blocks
-        (block 0, the scalar block, is not part of Gamma)."""
+        """Solver-basis Gamma from the reduced problem's logical blocks, as
+        ``reduced.unpack`` returns them (block 0, the scalar block, is not
+        part of Gamma)."""
         d = self.layout.solver_dim
         gamma = np.zeros((d, d))
         for idx, blk in zip(self.gamma_blocks, blocks[1:]):
@@ -484,9 +512,9 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
     product-measure moment matrix.
 
     Gamma has no entry between two connected components of its entry
-    pattern, so each component is its own block of the reduced problem; the
-    default start is block diagonal, and the iterates are those of one
-    Gamma block.
+    pattern, so each component is its own logical block of the reduced
+    problem; the default start is block diagonal, and the iterates are those
+    of one Gamma block, whether the solver packs components together or not.
     """
     nvars = 1 + layout.free_var_count
     objective = np.zeros(nvars)
@@ -591,19 +619,24 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
     res = solver.solve(problem.reduced, keep_trace=keep_trace)
     layout = problem.layout
 
-    xproj = solver.certificate_projection(problem.reduced, res.x_blocks)
+    # The certificate is block diagonal over the logical blocks: entries of
+    # a packed solver block between them could only be rounding, and
+    # unpack drops them.
+    unpack = problem.reduced.unpack
+    xproj = unpack(solver.certificate_projection(problem.reduced, res.x_blocks))
     zbar = _average_over_group(layout, problem.solver_gamma(xproj))
     w_data, c_data = _extract_multipliers(layout, zbar)
 
     dual_resid = max(0.0, -min(float(np.linalg.eigvalsh(blk)[0]) for blk in xproj))
     w_dot_c = float(np.dot(list(w_data.values()), list(c_data.values())))
-    dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(problem.reduced.f0, xproj))
+    dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(unpack(problem.reduced.f0), xproj))
     lambda_star = float(res.u[0])
     strong_resid = abs(lambda_star - dual_obj)
 
     # diag(lambda, Gamma(u)), Gamma in the full basis
     emat = layout.expansion_matrix()
-    x_star = [res.s_blocks[0], emat @ problem.solver_gamma(res.s_blocks) @ emat.T]
+    s_blocks = unpack(res.s_blocks)
+    x_star = [s_blocks[0], emat @ problem.solver_gamma(s_blocks) @ emat.T]
     min_eig_x = min(float(np.linalg.eigvalsh(0.5 * (blk + blk.T))[0]) for blk in x_star)
 
     status = res.status

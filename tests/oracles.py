@@ -206,7 +206,8 @@ def certificate_matrix(problem):
 
     solver = InteriorPointSolver()
     res = solver.solve(problem.reduced)
-    return problem.solver_gamma(solver.certificate_projection(problem.reduced, res.x_blocks))
+    return problem.solver_gamma(problem.reduced.unpack(
+        solver.certificate_projection(problem.reduced, res.x_blocks)))
 
 
 def standard_form_slack(problem, solution):

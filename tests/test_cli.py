@@ -60,6 +60,7 @@ def test_certify_werner_exit_code_and_witness(tmp_path, capsys):
     assert abs(sol["lambda_star"] - 2.0 / 3.0) <= 1e-6
     assert 0.0 <= sol["pinfeas"] <= 1e-8 and 0.0 <= sol["dinfeas"] <= 1e-8
     assert sol["solver_blocks"] == [1, 1, 2, 2, 2]
+    assert sol["solver_dims"] == [8]  # the five blocks packed into one
     assert 0.0 <= sol["dual_feas_residual"] <= 1e-8
     assert 0.0 <= sol["strong_duality_residual"] <= 1e-8
     wit = sc.read_witness(tmp_path / "werner_lam0.witness.json")

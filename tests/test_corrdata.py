@@ -1,6 +1,8 @@
 """Dataset model: canonicalization, transformations, collective moments, IO."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -204,6 +206,17 @@ def test_arrays_match_accessors(ds):
                     v = ds.get_two(i, j, a, b)
                     assert np.isnan(two[i, a, j, b]) if v is None else two[i, a, j, b] == v
     assert np.array_equal(two, two.transpose(2, 3, 0, 1), equal_nan=True)
+
+
+@settings(max_examples=50)
+@given(partial_datasets())
+def test_pickle_and_deepcopy_round_trip(ds):
+    ds.arrays()
+    for copy_ in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+        assert copy_ == ds
+        for got, want in zip(copy_.arrays(), ds.arrays()):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert not got.flags.writeable
 
 
 def test_require_names_absent_correlators_once():

@@ -1,6 +1,9 @@
 """Monomial bases, schemes, layouts, and the closed-form shortcut."""
 
+import dataclasses
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepcert as sc
+from sepcert import momentmat
 from sepcert.cli import _FORCED_SCHEMES
 from sepcert.errors import MissingData, SchemeMismatch
 from sepcert.momentmat import (Constant, Data, FreeVar, GENERAL_SCHEME,
-                               Monomial, SchemeKind, Zero, build_layout,
+                               MomentMatrixLayout, Monomial, SchemeKind, Zero, build_layout,
                                check_scheme_valid, layout_for, monomial_basis,
                                reduce_monomial, select_scheme)
 from sepcert.seporacle import make_rng
@@ -263,6 +267,145 @@ def test_render_grid():
     assert len(grid) == 7
     assert grid[0][0] == "1"
     assert "D" in "".join(grid)
+
+
+# -- one layout per shape -------------------------------------------------------------
+
+
+@st.composite
+def same_shape_datasets(draw):
+    """Three 2- or 3-site datasets that store the same correlators with
+    different values, all averaged over one scheme group or none."""
+    n = draw(st.integers(2, 3))
+    keys = [(i, a) for i in range(n) for a in range(3)]
+    keys += [(i, j, a, b) for i, j in itertools.combinations(range(n), 2)
+             for a in range(3) for b in range(3)]
+    kept = [k for k in keys if draw(st.booleans())]
+    scheme = draw(st.sampled_from([None, *_FORCED_SCHEMES.values()]))
+    value = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-1.0, 1.0)
+    out = []
+    for _ in range(3):
+        vals = {k: draw(value) for k in kept}
+        ds = sc.CorrelationDataset(n, {k: v for k, v in vals.items() if len(k) == 2},
+                                   {k: v for k, v in vals.items() if len(k) == 4})
+        out.append(ds if scheme is None else group_average(ds, scheme))
+    return out
+
+
+def assert_same_layout(got, want):
+    for f in dataclasses.fields(MomentMatrixLayout):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in ("entry_kind", "solver_exprs"):  # equal in order too
+            a, b = list(a.items()), list(b.items())
+        assert a == b, f.name
+
+
+@settings(max_examples=40)
+@given(datasets=same_shape_datasets())
+def test_cached_layout_equals_fresh_build(datasets):
+    first = None
+    for ds in datasets:
+        for level in (1, 2):
+            cached = layout_for(ds, level=level)
+            fresh = build_layout(monomial_basis(ds.n_sites, level), ds, cached.scheme)
+            assert_same_layout(cached, fresh)
+        # the level-2 shape is the same for all three datasets: a cache hit
+        first = first or cached
+        assert cached.entry_kind is first.entry_kind
+
+
+def test_cached_layout_solves_bit_identically():
+    shapes = [[sc.dataset_of(sc.random_product_state(4, seed)) for seed in range(3)],
+              [sc.quench_dataset(sc.quench_amplitudes(16, t)) for t in (2.0, 3.0)],
+              [sc.werner_dataset(lam) for lam in (0.1, 0.4)]]
+    for datasets in shapes:
+        for ds in datasets:
+            cached = layout_for(ds)
+            fresh = build_layout(monomial_basis(ds.n_sites, 1), ds, cached.scheme)
+            got, want = sc.solve(sc.assemble_primal(cached)), sc.solve(sc.assemble_primal(fresh))
+            assert got.lambda_star == want.lambda_star
+            assert got.iterations == want.iterations
+            assert got.w_data == want.w_data
+        assert cached.entry_kind is layout_for(datasets[0]).entry_kind
+
+
+def cached_entries():
+    return [len(t.entry_kind) for t in momentmat._templates.values()]
+
+
+def test_layout_cache_keeps_recent_shapes_within_budget(monkeypatch):
+    monkeypatch.setattr(momentmat, "LAYOUT_CACHE_ENTRIES", 120)
+    momentmat._templates.clear()
+    level1 = [sc.new_dataset(3, {(0, k, "Z", "Z"): 0.5}) for k in (1, 2)]
+    level1.append(sc.new_dataset(3, {(1, 2, "Z", "Z"): 0.5}))
+    layouts = [layout_for(ds) for ds in level1]  # 55 entries each
+    assert cached_entries() == [55, 55]
+    assert layout_for(level1[2]).entry_kind is layouts[2].entry_kind  # kept
+    assert layout_for(level1[0]).entry_kind is not layouts[0].entry_kind  # evicted
+    big = layout_for(level1[0], level=2)  # 1540 entries: kept alone while newest
+    assert cached_entries() == [1540]
+    assert layout_for(level1[0], level=2).entry_kind is big.entry_kind
+
+
+def test_layout_cache_under_concurrent_callers(monkeypatch):
+    # More shapes than the cache keeps, requested from more threads than
+    # cores with a short switch interval: every call still returns its own
+    # dataset's layout, and the cache stays within its bound.
+    monkeypatch.setattr(momentmat, "LAYOUT_CACHE_ENTRIES", 200)
+    datasets = [random_state_dataset(3, seed) for seed in range(4)]
+    keys = [(0, 1, "X", "X"), (0, 2, "Y", "Z"), (1, 2, "Z", "X"), (2, "Y")]
+    datasets += [sc.new_dataset(3, {key: 0.1 * (j + 1) * (-1) ** k
+                                    for j, key in enumerate(keys) if k >> j & 1})
+                 for k in range(1, 13)]
+    want = [build_layout(monomial_basis(3, 1), ds, select_scheme(ds)) for ds in datasets]
+    errors = []
+
+    def caller(offset):
+        for k in range(3 * len(datasets)):
+            i = (k + offset) % len(datasets)
+            got = layout_for(datasets[i])
+            if list(got.solver_exprs.items()) != list(want[i].solver_exprs.items()) \
+                    or got.entry_kind != want[i].entry_kind:
+                errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert sum(cached_entries()) <= 200 or len(cached_entries()) == 1
+
+
+def test_auto_scheme_selects_without_rechecking(monkeypatch):
+    calls = []
+    mismatch = momentmat._mismatch
+
+    def counting(ds, perm, signs):
+        calls.append((perm, signs))
+        return mismatch(ds, perm, signs)
+
+    monkeypatch.setattr(momentmat, "_mismatch", counting)
+    lay = layout_for(sc.thermal_dataset_ed(sc.ModelSpec(kind="heisenberg", n=8), 0.5))
+    assert lay.scheme.kind is SchemeKind.ROTATION_INVARIANT
+    assert len(calls) == 6  # three flips and three swaps, all in select_scheme
+
+
+def test_explicit_scheme_checked_on_cached_shape():
+    rot = _FORCED_SCHEMES["rotation"]
+    good = sc.werner_dataset(0.1)
+    assert layout_for(sc.werner_dataset(0.5), scheme=rot).entry_kind is \
+        layout_for(good, scheme=rot).entry_kind
+    bad = sc.CorrelationDataset(2, dict(good.one_items()),
+                                {k: v * (1.0 - 0.1 * k[2]) for k, v in good.two_items()})
+    with pytest.raises(SchemeMismatch, match="scheme rotation"):
+        layout_for(bad, scheme=rot)
 
 
 # -- closed form ------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepcert as sc
+from sepcert import sdpcore
 from sepcert._blas import single_blas_thread
 from sepcert.cli import _FORCED_SCHEMES
 from sepcert.errors import NotEntangled
@@ -125,6 +126,47 @@ def test_split_solve_matches_single_block():
         assert np.max(np.abs(split.x_star[1] - one.x_star[1])) <= 1e-8
 
 
+def test_packed_iterates_stay_block_diagonal(monkeypatch):
+    # Every X and S iterate that the solver factors, on the acceptance corpus
+    # and cmc_check's own problem: the entries of a packed solver block
+    # between its logical blocks stay at rounding level.
+    factored, problems = [], []
+    factor, schur = sdpcore._factor, InteriorPointSolver._schur
+
+    def recording_factor(mat):
+        factored.append(mat)
+        return factor(mat)
+
+    def recording_schur(prob, w_blocks):
+        problems.append(prob)
+        return schur(prob, w_blocks)
+
+    monkeypatch.setattr(sdpcore, "_factor", recording_factor)
+    monkeypatch.setattr(InteriorPointSolver, "_schur", staticmethod(recording_schur))
+    runs = [lambda ds=ds: sc.certify(ds) for ds in (
+        sc.werner_dataset(0.0), sc.dataset_of(sc.random_product_state(4, 1)),
+        sc.dataset_of(sc.random_product_state(8, 2)),
+        sc.quench_dataset(sc.quench_amplitudes(16, 3.0)),
+        sc.thermal_dataset_ed(sc.ModelSpec(kind="heisenberg", n=8), 0.4),
+        random_state_dataset(3, 601))]
+    runs.append(lambda: sc.cmc_check(sc.state_dataset(np.eye(8) / 8)))
+    packed = 0
+    for run in runs:
+        factored.clear()
+        problems.clear()
+        run()
+        prob = problems[0]
+        cross = [np.ones((d, d), dtype=bool) for d in prob.solver_dims]
+        for (b, off), d in zip(prob.pack, prob.block_dims):
+            cross[b][off:off + d, off:off + d] = False
+        packed += sum(m.any() for m in cross)
+        # each iteration factors S, then X, of every solver block in turn
+        for k, mat in enumerate(factored):
+            mask = cross[k // 2 % len(cross)]
+            assert np.max(np.abs(mat[mask]), initial=0.0) <= 1e-12 * np.max(np.abs(mat))
+    assert packed == 7  # one packed solver block per run
+
+
 def test_schur_matches_dense_oracle(monkeypatch):
     # A split quench problem, a level-2 problem and cmc_check's own problem,
     # taken from the solver's first Schur call.
@@ -144,11 +186,13 @@ def test_schur_matches_dense_oracle(monkeypatch):
         cmc[0],
     ]
     assert problems[0].block_dims == [1, 17, 16, 16]
+    assert problems[0].solver_dims == [34, 16]
     assert problems[2].block_dims == [9, 3, 3, 3]
+    assert problems[2].solver_dims == [18]
     rng = make_rng(9)
     for prob in problems:
         w_blocks = []
-        for d in prob.block_dims:
+        for d in prob.solver_dims:
             a = rng.normal(size=(d, d))
             w_blocks.append(a @ a.T + d * np.eye(d))
         got = InteriorPointSolver._schur(prob, w_blocks)
@@ -192,7 +236,7 @@ def test_schur_matches_dense_oracle_on_generated_problems(shape, seed):
     prob = random_block_sdp(*shape, seed)
     rng = make_rng(seed + 1)
     w_blocks = []
-    for d in prob.block_dims:
+    for d in prob.solver_dims:
         a = rng.normal(size=(d, d))
         w_blocks.append(a @ a.T + d * np.eye(d))
     got = InteriorPointSolver._schur(prob, w_blocks)

@@ -306,6 +306,26 @@ def test_cmc_feasibility_implied_by_level1():
         assert sc.cmc_check(ds).feasible
 
 
+# CMC margins of the mixed states p |psi><psi| + (1 - p) I/8 below, computed
+# when cmc_check solved its [9, 3, 3, 3] blocks one by one.
+CMC_MARGINS = (-0.17547994696660138, 0.08666250585369019, -0.3063399339386358,
+               0.09788129100872656, -0.44375420174607794, -0.02510000189532911,
+               -0.37984793840541276, -0.306283063988684, 0.06150331736860763,
+               0.0023655900017037863)
+
+
+def test_cmc_margins_pinned_on_mixed_states():
+    for seed, want in enumerate(CMC_MARGINS):
+        rng = np.random.default_rng(seed)
+        psi = haar_state(3, rng)
+        p = 0.2 + 0.8 * rng.random()
+        rho = p * np.outer(psi, psi.conj()) + (1 - p) * np.eye(8) / 8
+        res = sc.cmc_check(sc.state_dataset(rho))
+        assert res.status is sc.SdpStatus.OPTIMAL
+        assert res.feasible == (want >= 0.0)
+        assert abs(res.margin - want) <= 1e-9, seed
+
+
 def test_cmc_errors():
     with pytest.raises(WrongSize):
         sc.cmc_check(sc.werner_dataset(0.0))
