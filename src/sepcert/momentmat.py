@@ -15,7 +15,6 @@ import dataclasses
 import enum
 import itertools
 import threading
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +23,12 @@ from .corrdata import AXES, SAME_AXIS, CorrelationDataset, one_body_label, two_b
 from .errors import BadKey, SchemeMismatch
 
 _COMP_NAMES = "xyz"
-# Symbolic layouts are kept per dataset shape, least recently used out
-# first, while their entry counts sum to at most this; the newest is kept
-# whatever its size.  Sweeps, trials and panels run many datasets of a few
-# shapes, and a layout holds about 0.45 kB per entry (8.5 MB for the 18,721
-# entries of an n=64 quench), growing as the square of the basis.
-LAYOUT_CACHE_ENTRIES = 2 ** 13
+# Symbolic layouts kept per dataset shape, least recently used out first.
+# The benchmark's sweeps repeat at most three shapes between two calls of
+# one shape: product n=4 and n=8, Heisenberg and Ising n=10, one quench
+# shape, and on the 3-qubit panel the full-data shape between each item's
+# two partial shapes (which recur only a sweep later, 20 shapes on).
+LAYOUT_CACHE_SIZE = 4
 
 
 # -- monomials ----------------------------------------------------------------
@@ -344,8 +343,8 @@ class MomentMatrixLayout:
     ``entry_kind`` maps canonical positions (r <= c) to Constant / Data /
     FreeVar / Zero; ``free_var_count`` counts the independent unknowns after
     tie-merging and per-site elimination through the quadratic constraint.
-    Every field but ``solver_exprs`` depends on the dataset's shape only and
-    is immutable, so layouts of one shape share them.
+    Every field but ``entry_kind`` and ``solver_exprs`` depends on the
+    dataset's shape only and is immutable, so layouts of one shape share them.
 
     At levels >= 2 the full basis contains {1, x_i^2, y_i^2, z_i^2}, which
     are linearly dependent on the sphere, so every valid moment matrix is
@@ -358,7 +357,7 @@ class MomentMatrixLayout:
     basis: MonomialBasis
     scheme: SymmetryScheme
     n_sites: int
-    entry_kind: types.MappingProxyType
+    entry_kind: dict
     free_var_count: int
     # internal: the unknowns' monomials and the solver-basis entry expressions
     var_reps: tuple = field(repr=False, default=())
@@ -420,20 +419,19 @@ class MomentMatrixLayout:
         return "\n".join(rows)
 
 
-def _stored_moments(ds: CorrelationDataset) -> dict:
-    """Stored correlators keyed by their monomial's factors: {factors: (label,
-    flat index of the value in ``_flat_values(ds)``)}."""
+def _stored_moments(ds: CorrelationDataset):
+    """Stored correlators keyed by their monomial's factors, {factors:
+    (label, slot)}, and the flat indices into ``ds.arrays()`` of the slots'
+    values: one-body slots first, then two-body."""
     n = ds.n_sites
-    out = {((i, int(a)),): (one_body_label(i, a), 3 * i + a) for (i, a), _ in ds.one_items()}
-    out.update((((i, int(a)), (j, int(b))),
-                (two_body_label(i, j, a, b), 3 * n * (1 + 3 * i + a) + 3 * j + b))
-               for (i, j, a, b), _ in ds.two_items())
-    return out
-
-
-def _flat_values(ds: CorrelationDataset) -> list:
-    one, two = ds.arrays()
-    return np.concatenate((one.ravel(), two.ravel())).tolist()
+    one = [(i, a) for (i, a), _ in ds.one_items()]
+    two = [(i, j, a, b) for (i, j, a, b), _ in ds.two_items()]
+    out = {((i, int(a)),): (one_body_label(i, a), k) for k, (i, a) in enumerate(one)}
+    out.update((((i, int(a)), (j, int(b))), (two_body_label(i, j, a, b), len(one) + k))
+               for k, (i, j, a, b) in enumerate(two))
+    index = (np.array([3 * i + a for i, a in one], dtype=np.intp),
+             np.array([3 * n * (3 * i + a) + 3 * j + b for i, j, a, b in two], dtype=np.intp))
+    return out, index
 
 
 def _check_basis(basis: MonomialBasis, ds: CorrelationDataset, scheme: SymmetryScheme):
@@ -450,11 +448,12 @@ def _check_basis(basis: MonomialBasis, ds: CorrelationDataset, scheme: SymmetryS
                 f"which should be supplied as extras instead")
 
 
-def _bind(template: MomentMatrixLayout, ds: CorrelationDataset) -> MomentMatrixLayout:
+def _bind(template: MomentMatrixLayout, index, ds: CorrelationDataset) -> MomentMatrixLayout:
     """The layout of ``ds`` from a template of its shape: each data term's
-    flat index becomes the dataset's value."""
-    vals = _flat_values(ds)
-    return dataclasses.replace(template, solver_exprs={
+    slot becomes the dataset's value, gathered through ``index``."""
+    one, two = ds.arrays()
+    vals = np.concatenate((one.ravel()[index[0]], two.ravel()[index[1]])).tolist()
+    return dataclasses.replace(template, entry_kind=dict(template.entry_kind), solver_exprs={
         key: EntryExpr(e.const, tuple([(lbl, vals[k], cf) for lbl, k, cf in e.data]), e.vars)
         if e.data else e for key, e in template.solver_exprs.items()})
 
@@ -477,15 +476,15 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
     """
     _check_basis(basis, ds, scheme)
     check_scheme_valid(ds, scheme)
-    return _bind(_template(basis, ds, scheme), ds)
+    return _bind(*_template(basis, ds, scheme), ds)
 
 
 def _template(basis: MonomialBasis, ds: CorrelationDataset,
-              scheme: SymmetryScheme) -> MomentMatrixLayout:
-    """The layout of the dataset's shape: a data term of ``solver_exprs``
-    holds the flat index of its value in ``_flat_values`` in place of the
-    value, and nothing else reads a value."""
-    stored = _stored_moments(ds)
+              scheme: SymmetryScheme):
+    """The layout of the dataset's shape and the flat indices of its data:
+    a data term of ``solver_exprs`` holds the slot of its value in place of
+    the value (see ``_stored_moments``), and nothing else reads a value."""
+    stored, index = _stored_moments(ds)
     moves = [(perm, frozenset(a for a in range(3) if signs[a] == -1))
              for perm, signs in scheme.group_elements() if (perm, signs) != (_IDENTITY, _NO_FLIP)]
     var_index = {}      # orbit representative -> solver unknown
@@ -544,8 +543,8 @@ def _template(basis: MonomialBasis, ds: CorrelationDataset,
             if not nm.factors:
                 const += cf
             elif dm is not None:
-                label, flat = dm
-                data[label] = (flat, data.get(label, (flat, 0.0))[1] + cf)
+                label, slot = dm
+                data[label] = (slot, data.get(label, (slot, 0.0))[1] + cf)
             else:
                 zero, rep, sgn = orbit_rep(nm)
                 if not zero:
@@ -584,10 +583,9 @@ def _template(basis: MonomialBasis, ds: CorrelationDataset,
                 solver_exprs[(sub[r], sub[c])] = expr
 
     return MomentMatrixLayout(
-        basis=basis, scheme=scheme, n_sites=basis.n_sites,
-        entry_kind=types.MappingProxyType(entry_kind), free_var_count=len(var_index),
-        var_reps=tuple(var_index), solver_monos=solver_monos, solver_exprs=solver_exprs,
-        expansion=expansion)
+        basis=basis, scheme=scheme, n_sites=basis.n_sites, entry_kind=entry_kind,
+        free_var_count=len(var_index), var_reps=tuple(var_index), solver_monos=solver_monos,
+        solver_exprs=solver_exprs, expansion=expansion), index
 
 
 _templates = collections.OrderedDict()
@@ -603,9 +601,8 @@ def layout_for(ds: CorrelationDataset, level: int = 1, scheme=None,
     schemes the data carry) and uses the general scheme at higher levels or
     with extras; an explicit scheme is checked against the data.  The
     symbolic layout is built once per shape, keyed by (n, level, extras,
-    scheme, which correlators are stored), and the recent shapes are kept
-    within LAYOUT_CACHE_ENTRIES entries; each call binds its own dataset's
-    values.
+    scheme, which correlators are stored), and the LAYOUT_CACHE_SIZE most
+    recent shapes are kept; each call binds its own dataset's values.
     """
     basis = monomial_basis(ds.n_sites, level, extras)
     explicit = scheme is not None
@@ -625,10 +622,9 @@ def layout_for(ds: CorrelationDataset, level: int = 1, scheme=None,
         template = _template(basis, ds, scheme)
         with _templates_lock:
             _templates[key] = template
-            size = sum(len(t.entry_kind) for t in _templates.values())
-            while size > LAYOUT_CACHE_ENTRIES and len(_templates) > 1:
-                size -= len(_templates.popitem(last=False)[1].entry_kind)
-    return _bind(template, ds)
+            while len(_templates) > LAYOUT_CACHE_SIZE:
+                _templates.popitem(last=False)
+    return _bind(*template, ds)
 
 
 # -- the fully reduced closed form ---------------------------------------------

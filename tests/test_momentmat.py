@@ -1,7 +1,9 @@
 """Monomial bases, schemes, layouts, and the closed-form shortcut."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import sys
 import threading
 
@@ -310,8 +312,9 @@ def test_cached_layout_equals_fresh_build(datasets):
             fresh = build_layout(monomial_basis(ds.n_sites, level), ds, cached.scheme)
             assert_same_layout(cached, fresh)
         # the level-2 shape is the same for all three datasets: a cache hit
+        # shares the template's shape-only fields
         first = first or cached
-        assert cached.entry_kind is first.entry_kind
+        assert cached.expansion is first.expansion
 
 
 def test_cached_layout_solves_bit_identically():
@@ -326,32 +329,40 @@ def test_cached_layout_solves_bit_identically():
             assert got.lambda_star == want.lambda_star
             assert got.iterations == want.iterations
             assert got.w_data == want.w_data
-        assert cached.entry_kind is layout_for(datasets[0]).entry_kind
+        assert cached.expansion is layout_for(datasets[0]).expansion
 
 
-def cached_entries():
-    return [len(t.entry_kind) for t in momentmat._templates.values()]
-
-
-def test_layout_cache_keeps_recent_shapes_within_budget(monkeypatch):
-    monkeypatch.setattr(momentmat, "LAYOUT_CACHE_ENTRIES", 120)
+def test_layout_cache_keeps_recent_shapes(monkeypatch):
+    monkeypatch.setattr(momentmat, "LAYOUT_CACHE_SIZE", 2)
     momentmat._templates.clear()
-    level1 = [sc.new_dataset(3, {(0, k, "Z", "Z"): 0.5}) for k in (1, 2)]
-    level1.append(sc.new_dataset(3, {(1, 2, "Z", "Z"): 0.5}))
-    layouts = [layout_for(ds) for ds in level1]  # 55 entries each
-    assert cached_entries() == [55, 55]
-    assert layout_for(level1[2]).entry_kind is layouts[2].entry_kind  # kept
-    assert layout_for(level1[0]).entry_kind is not layouts[0].entry_kind  # evicted
-    big = layout_for(level1[0], level=2)  # 1540 entries: kept alone while newest
-    assert cached_entries() == [1540]
-    assert layout_for(level1[0], level=2).entry_kind is big.entry_kind
+    shapes = [sc.new_dataset(3, {(0, k, "Z", "Z"): 0.5}) for k in (1, 2)]
+    shapes.append(sc.new_dataset(3, {(1, 2, "Z", "Z"): 0.5}))
+    layouts = [layout_for(ds) for ds in shapes]
+    assert len(momentmat._templates) == 2
+    assert layout_for(shapes[2]).expansion is layouts[2].expansion  # kept
+    assert layout_for(shapes[1]).expansion is layouts[1].expansion  # kept, now newest
+    assert layout_for(shapes[0]).expansion is not layouts[0].expansion  # evicted
+    assert layout_for(shapes[2]).expansion is not layouts[2].expansion  # least recent
+
+
+def test_layout_and_problem_pickle_and_deepcopy():
+    ds = sc.quench_dataset(sc.quench_amplitudes(8, 2.0))
+    layout_for(ds)  # certify's layout is a cache hit, sharing the template's fields
+    sol, problem = sc.certify(ds)
+    for copy_ in (pickle.loads(pickle.dumps(problem)), copy.deepcopy(problem)):
+        assert_same_layout(copy_.layout, problem.layout)
+        again = sc.solve(copy_)
+        assert (again.lambda_star, again.iterations) == (sol.lambda_star, sol.iterations)
+    layout = layout_for(sc.werner_dataset(0.3), level=2)
+    for copy_ in (pickle.loads(pickle.dumps(layout)), copy.deepcopy(layout)):
+        assert_same_layout(copy_, layout)
 
 
 def test_layout_cache_under_concurrent_callers(monkeypatch):
     # More shapes than the cache keeps, requested from more threads than
     # cores with a short switch interval: every call still returns its own
     # dataset's layout, and the cache stays within its bound.
-    monkeypatch.setattr(momentmat, "LAYOUT_CACHE_ENTRIES", 200)
+    monkeypatch.setattr(momentmat, "LAYOUT_CACHE_SIZE", 5)
     datasets = [random_state_dataset(3, seed) for seed in range(4)]
     keys = [(0, 1, "X", "X"), (0, 2, "Y", "Z"), (1, 2, "Z", "X"), (2, "Y")]
     datasets += [sc.new_dataset(3, {key: 0.1 * (j + 1) * (-1) ** k
@@ -380,7 +391,7 @@ def test_layout_cache_under_concurrent_callers(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
-    assert sum(cached_entries()) <= 200 or len(cached_entries()) == 1
+    assert len(momentmat._templates) <= 5
 
 
 def test_auto_scheme_selects_without_rechecking(monkeypatch):
@@ -400,8 +411,8 @@ def test_auto_scheme_selects_without_rechecking(monkeypatch):
 def test_explicit_scheme_checked_on_cached_shape():
     rot = _FORCED_SCHEMES["rotation"]
     good = sc.werner_dataset(0.1)
-    assert layout_for(sc.werner_dataset(0.5), scheme=rot).entry_kind is \
-        layout_for(good, scheme=rot).entry_kind
+    assert layout_for(sc.werner_dataset(0.5), scheme=rot).expansion is \
+        layout_for(good, scheme=rot).expansion
     bad = sc.CorrelationDataset(2, dict(good.one_items()),
                                 {k: v * (1.0 - 0.1 * k[2]) for k, v in good.two_items()})
     with pytest.raises(SchemeMismatch, match="scheme rotation"):
