@@ -364,6 +364,8 @@ class MomentMatrixLayout:
     solver_monos: tuple = field(repr=False, default=())
     solver_exprs: dict = field(repr=False, default_factory=dict)
     expansion: tuple = field(repr=False, default=())
+    # basis_action of every scheme group element, in group_elements() order
+    group_actions: tuple = field(repr=False, default=())
 
     @property
     def dim(self) -> int:
@@ -396,6 +398,7 @@ class MomentMatrixLayout:
             m2 = m.relabel_axes(perm)
             tgt[i] = index[m2]
             sgn[i] = m.flip_sign({a for a in range(3) if signs[a] == -1})
+        tgt.flags.writeable = sgn.flags.writeable = False
         return tgt, sgn
 
     def render_grid(self) -> str:
@@ -582,10 +585,13 @@ def _template(basis: MonomialBasis, ds: CorrelationDataset,
             if sub[r] is not None and sub[c] is not None:
                 solver_exprs[(sub[r], sub[c])] = expr
 
-    return MomentMatrixLayout(
+    layout = MomentMatrixLayout(
         basis=basis, scheme=scheme, n_sites=basis.n_sites, entry_kind=entry_kind,
         free_var_count=len(var_index), var_reps=tuple(var_index), solver_monos=solver_monos,
-        solver_exprs=solver_exprs, expansion=expansion), index
+        solver_exprs=solver_exprs, expansion=expansion)
+    layout.group_actions = tuple(layout.basis_action(perm, signs)
+                                 for perm, signs in scheme.group_elements())
+    return layout, index
 
 
 _templates = collections.OrderedDict()

@@ -457,31 +457,27 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def concurrence_noise_robustness(amps: QuenchAmplitudes, tol: float = 1e-10) -> float:
+def concurrence_noise_robustness(amps: QuenchAmplitudes) -> float:
     """Largest white-noise fraction at which some pair still has positive
-    concurrence, maximized over all pairs (bisection per pair).
+    concurrence, maximized over all pairs.
 
-    Along the ray toward identity/4 the entangled stretch is an interval
-    (convexity of the separable set), so bisection is exact and a pair whose
-    concurrence already vanishes at the current record cannot improve on it.
+    Each pair state (1 - lam) rho + lam I/4 is an X-state with rho_03 = 0,
+    so its concurrence is 2 max(0, |rho_12| - sqrt(rho_00 rho_33)) and
+    vanishes at the smaller root of A lam^2 - B lam + C = 0 with
+        A = a^2 + q/4 - 1/16,  B = 2 a^2 + q/4,  C = a^2,
+    a = |phi_i phi_j| and q = 1 - |phi_i|^2 - |phi_j|^2 (clipped at 0 as in
+    ``pair_density_from_quench``).  The root is taken in the
+    cancellation-free form 2C / (B + sqrt(B^2 - 4AC)), for every pair at
+    once, where B^2 - 4AC = q^2/16 + a^2/4.  A pair whose noiseless
+    concurrence 2a is at most 1e-12 gives 0: a = 0 would make the root 0/0,
+    and at tJ = 0 the amplitudes off the flipped site are rounding of that
+    size.
     """
-    n = amps.n
-    absphi = np.abs(amps.phi)
-    order = sorted(
-        ((2.0 * absphi[i] * absphi[j], i, j) for i in range(n) for j in range(i + 1, n)),
-        reverse=True)
-    best = 0.0
-    for c0, i, j in order:
-        if c0 <= 1e-12:
-            break
-        if wootters_concurrence(pair_density_from_quench(amps, i, j, best)) <= 0:
-            continue
-        lo, hi = best, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if wootters_concurrence(pair_density_from_quench(amps, i, j, mid)) > 0:
-                lo = mid
-            else:
-                hi = mid
-        best = lo
-    return best
+    p = np.abs(amps.phi) ** 2
+    i, j = np.triu_indices(amps.n, k=1)
+    a2 = p[i] * p[j]
+    q = np.maximum(0.0, 1.0 - p[i] - p[j])
+    b = 2.0 * a2 + q / 4.0
+    root = np.divide(2.0 * a2, b + np.sqrt(q * q / 16.0 + a2 / 4.0),
+                     out=np.zeros_like(a2), where=2.0 * np.sqrt(a2) > 1e-12)
+    return float(root.max(initial=0.0))

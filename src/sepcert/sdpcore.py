@@ -581,14 +581,13 @@ class SdpSolution:
 
 
 def _average_over_group(layout: MomentMatrixLayout, mat: np.ndarray) -> np.ndarray:
-    group = layout.scheme.group_elements()
-    if len(group) == 1:
+    actions = layout.group_actions
+    if len(actions) == 1:
         return mat
     out = np.zeros_like(mat)
-    for perm, signs in group:
-        tgt, sgn = layout.basis_action(perm, signs)
+    for tgt, sgn in actions:
         out[np.ix_(tgt, tgt)] += (sgn[:, None] * sgn[None, :]) * mat
-    return out / len(group)
+    return out / len(actions)
 
 
 def _extract_multipliers(layout: MomentMatrixLayout, zbar: np.ndarray):

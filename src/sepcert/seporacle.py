@@ -145,17 +145,25 @@ class _WitnessTerms:
                 self.wmat[3 * i + int(a), 3 * j + int(b)] += float(w)
                 self.wmat[3 * j + int(b), 3 * i + int(a)] += float(w)
 
-    def value(self, x):
-        """Witness value for a batch x of shape (B, n, 3)."""
-        flat = x.reshape(x.shape[0], -1)
+    def value(self, flat):
+        """Values and Euclidean gradients for a batch of flattened states,
+        shape (B, 3n): the gradient is the product the value already needs,
+        plus the one-body vector."""
         half = flat @ self.wmat
-        return 0.5 * np.einsum("bs,bs->b", flat, half) + flat @ self.wvec
+        return 0.5 * np.einsum("bs,bs->b", flat, half) + flat @ self.wvec, half + self.wvec
 
-    def grad(self, x):
-        """Euclidean gradient, batched: shape (B, n, 3)."""
-        b = x.shape[0]
-        flat = x.reshape(b, -1)
-        return (flat @ self.wmat + self.wvec).reshape(b, self.n, 3)
+    def grad(self, flat):
+        """Euclidean gradients for a batch of flattened states, shape (B, 3n)."""
+        return flat @ self.wmat + self.wvec
+
+
+def _retire(keep, live, x, val, xl, vl, *rows):
+    """Write the restarts that ``keep`` drops back into the full ``x`` and
+    ``val``; return ``live``, ``xl``, ``vl`` and ``rows`` cut to the kept ones."""
+    drop = ~keep
+    x[live[drop]] = xl[drop]
+    val[live[drop]] = vl[drop]
+    return (live[keep], xl[keep], vl[keep]) + tuple(r[keep] for r in rows)
 
 
 def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
@@ -172,6 +180,15 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
     indefinitely).  Pure products suffice: the maximum of a linear functional
     over the (convex) separable set is attained at an extreme point.
 
+    The live restarts are kept as compact arrays, cut only when a restart
+    drops out.  An iteration makes one matrix product: a restart's
+    gradient is the one its value was computed with, kept until a candidate
+    is accepted, and taken again for every live restart after one drops
+    out.  The per-site sums over the three Bloch components are written
+    out left to right, the order ``np.sum`` takes over a length-3 axis, so
+    every iterate is what a per-iteration gather with a fresh gradient and
+    ``np.sum`` / ``np.linalg.norm`` gives, bit for bit.
+
     Returns ``(best_value, best_state)``; ties break by restart index via
     argmax.
     """
@@ -182,37 +199,54 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
     B = int(restarts)
     x = rng.normal(size=(B, n, 3))
     x /= np.linalg.norm(x, axis=2, keepdims=True)
+    val, gl = terms.value(x.reshape(B, -1))
+    # State, value, Euclidean gradient, step and stall checkpoint of each
+    # live restart, in the order of ``live``.
+    live = np.arange(B)
+    xl, vl = x.copy(), val.copy()
     step = np.full(B, 0.5)
-    val = terms.value(x)
-    checkpoint = val.copy()
-    live = np.arange(B)  # restarts still iterating; converged ones drop out
+    checkpoint = vl
+    stale = False
     for it in range(1, int(max_iter) + 1):
         if len(live) == 0:
             break
-        xl = x[live]
-        g = terms.grad(xl)
+        if stale:
+            # BLAS may round a row of a matrix product differently in a
+            # batch of another size (numpy takes another routine for one
+            # row, OpenBLAS another kernel for a few), so once restarts
+            # drop out every gradient is taken again, in the new batch.
+            gl = terms.grad(xl.reshape(len(live), -1))
+            stale = False
         # Riemannian gradient: project out the radial component per site.
-        g -= np.sum(g * xl, axis=2, keepdims=True) * xl
-        gnorm = np.linalg.norm(g.reshape(len(live), -1), axis=1)
-        keep = (gnorm > grad_tol) & (step[live] > 1e-16)
-        live = live[keep]
-        if len(live) == 0:
-            break
-        g = g[keep]
-        cand = x[live] + step[live, None, None] * g
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        cand_val = terms.value(cand)
+        g = gl.reshape(-1, n, 3)
+        p = g * xl
+        g = (g - (p[..., 0] + p[..., 1] + p[..., 2])[..., None] * xl).reshape(len(live), -1)
+        gnorm = np.sqrt(np.add.reduce(g * g, axis=1))
+        keep = (gnorm > grad_tol) & (step > 1e-16)
+        if not keep.all():
+            live, xl, vl, gl, g, step, checkpoint = _retire(
+                keep, live, x, val, xl, vl, gl, g, step, checkpoint)
+            stale = True
+            if len(live) == 0:
+                break
+        cand = xl + step[:, None, None] * g.reshape(-1, n, 3)
+        c2 = cand * cand
+        cand /= np.sqrt(c2[..., 0] + c2[..., 1] + c2[..., 2])[..., None]
+        cand_val, cand_grad = terms.value(cand.reshape(len(live), -1))
         # Strict ascent only: at a local maximum every candidate fails, the
         # step halves geometrically and the restart drops out.
-        improved = cand_val > val[live]
-        upd = live[improved]
-        x[upd] = cand[improved]
-        val[upd] = cand_val[improved]
-        step[upd] *= 1.2
-        step[live[~improved]] *= 0.5
+        improved = cand_val > vl
+        np.copyto(xl, cand, where=improved[:, None, None])
+        np.copyto(gl, cand_grad, where=improved[:, None])
+        vl = np.where(improved, cand_val, vl)
+        step = np.where(improved, step * 1.2, step * 0.5)
         if it % stall_window == 0:
-            moving = val[live] - checkpoint[live] > stall_tol
-            live = live[moving]
-            checkpoint[live] = val[live]
+            moving = vl - checkpoint > stall_tol
+            if not moving.all():
+                live, xl, vl, gl, step = _retire(moving, live, x, val, xl, vl, gl, step)
+                stale = True
+            checkpoint = vl
+    x[live] = xl
+    val[live] = vl
     best = int(np.argmax(val))
     return float(val[best]), ProductState(x[best] / np.linalg.norm(x[best], axis=1, keepdims=True))

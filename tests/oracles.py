@@ -335,6 +335,132 @@ def best_x_state_pair(amps):
                for i in range(n) for j in range(i + 1, n))
 
 
+
+def bisection_noise_robustness(amps, tol=1e-10):
+    """White-noise robustness of the quench pairs' concurrence, maximized
+    over all pairs by bisection on the Wootters concurrence of each pair's
+    density matrix along the ray toward identity/4.
+
+    The entangled stretch of that ray is an interval (the separable set is
+    convex), so bisection is exact, and a pair whose concurrence already
+    vanishes at the current record cannot improve on it.
+    """
+    n = amps.n
+    absphi = np.abs(amps.phi)
+    order = sorted(
+        ((2.0 * absphi[i] * absphi[j], i, j) for i in range(n) for j in range(i + 1, n)),
+        reverse=True)
+    best = 0.0
+    for c0, i, j in order:
+        if c0 <= 1e-12:
+            break
+        if sc.wootters_concurrence(sc.pair_density_from_quench(amps, i, j, best)) <= 0:
+            continue
+        lo, hi = best, 1.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if sc.wootters_concurrence(sc.pair_density_from_quench(amps, i, j, mid)) > 0:
+                lo = mid
+            else:
+                hi = mid
+        best = lo
+    return best
+
+
+class _ReferenceTerms:
+    """Dense quadratic form 0.5 x^T W x + v.x of a witness over flattened
+    (site, axis) product-state coordinates, with its value and gradient
+    each taken as its own matrix product."""
+
+    def __init__(self, witness, n: int):
+        self.n = int(n)
+        self.wmat = np.zeros((3 * n, 3 * n))
+        self.wvec = np.zeros(3 * n)
+        for label, w in witness.coefficients.items():
+            key = sc.parse_label(label)
+            if len(key) == 2:
+                i, a = key
+                if i >= n:
+                    raise sc.BadKey(f"witness label {label} references site {i} >= n={n}")
+                self.wvec[3 * i + int(a)] += float(w)
+            else:
+                i, j, a, b = key
+                if j >= n:
+                    raise sc.BadKey(f"witness label {label} references site {j} >= n={n}")
+                self.wmat[3 * i + int(a), 3 * j + int(b)] += float(w)
+                self.wmat[3 * j + int(b), 3 * i + int(a)] += float(w)
+
+    def value(self, x):
+        flat = x.reshape(x.shape[0], -1)
+        half = flat @ self.wmat
+        return 0.5 * np.einsum("bs,bs->b", flat, half) + flat @ self.wvec
+
+    def grad(self, x):
+        b = x.shape[0]
+        flat = x.reshape(b, -1)
+        return (flat @ self.wmat + self.wvec).reshape(b, self.n, 3)
+
+
+def reference_product_search(witness, n, restarts, seed=0, max_iter=4000,
+                             grad_tol=1e-10, stall_window=64, stall_tol=1e-9,
+                             events=None):
+    """Projected gradient ascent over product states in its first form: one
+    batch of restarts, every live restart gathered by index each iteration,
+    its gradient recomputed and the length-3 Bloch sums taken by
+    ``np.sum`` and ``np.linalg.norm``.  ``max_over_product_states`` must
+    return the same value and state bit for bit.
+
+    ``events`` (a Counter) counts how restarts drop out: "gradient" (the
+    Riemannian gradient test), "underflow" (the step), "stall" (a stall
+    check), "all" (a check that drops every remaining restart, two or more)
+    and "single" (one restart left of two or more).  Counting changes no
+    arithmetic.
+    """
+    events = collections.Counter() if events is None else events
+    rng = make_rng(seed)
+    terms = _ReferenceTerms(witness, n)
+    B = int(restarts)
+    x = rng.normal(size=(B, n, 3))
+    x /= np.linalg.norm(x, axis=2, keepdims=True)
+    step = np.full(B, 0.5)
+    val = terms.value(x)
+    checkpoint = val.copy()
+    live = np.arange(B)
+    for it in range(1, int(max_iter) + 1):
+        if len(live) == 0:
+            break
+        xl = x[live]
+        g = terms.grad(xl)
+        g -= np.sum(g * xl, axis=2, keepdims=True) * xl
+        gnorm = np.linalg.norm(g.reshape(len(live), -1), axis=1)
+        keep = (gnorm > grad_tol) & (step[live] > 1e-16)
+        events["gradient"] += int(np.sum(gnorm <= grad_tol))
+        events["underflow"] += int(np.sum(step[live] <= 1e-16))
+        events["all"] += int(len(live) > 1 and not keep.any())
+        events["single"] += int(B > 1 and len(live) > 1 and np.sum(keep) == 1)
+        live = live[keep]
+        if len(live) == 0:
+            break
+        g = g[keep]
+        cand = x[live] + step[live, None, None] * g
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        cand_val = terms.value(cand)
+        improved = cand_val > val[live]
+        upd = live[improved]
+        x[upd] = cand[improved]
+        val[upd] = cand_val[improved]
+        step[upd] *= 1.2
+        step[live[~improved]] *= 0.5
+        if it % stall_window == 0:
+            moving = val[live] - checkpoint[live] > stall_tol
+            events["stall"] += int(np.sum(~moving))
+            events["all"] += int(len(live) > 1 and not moving.any())
+            events["single"] += int(len(live) > 1 and np.sum(moving) == 1)
+            live = live[moving]
+            checkpoint[live] = val[live]
+    best = int(np.argmax(val))
+    return float(val[best]), x[best] / np.linalg.norm(x[best], axis=1, keepdims=True)
+
 _DENSE_PAULI = {sc.PauliAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
                 sc.PauliAxis.Y: np.array([[0, -1j], [1j, 0]]),
                 sc.PauliAxis.Z: np.array([[1, 0], [0, -1]], dtype=complex)}

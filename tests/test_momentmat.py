@@ -299,6 +299,8 @@ def assert_same_layout(got, want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if f.name in ("entry_kind", "solver_exprs"):  # equal in order too
             a, b = list(a.items()), list(b.items())
+        elif f.name == "group_actions":  # (index, sign) arrays per element
+            a, b = ([(tgt.tolist(), sgn.tolist()) for tgt, sgn in v] for v in (a, b))
         assert a == b, f.name
 
 

@@ -9,8 +9,9 @@ import sepcert as sc
 from sepcert.errors import BadKey, BadNoiseLevel, MissingData, NotDensity, TooLarge
 from sepcert.seporacle import make_rng
 
-from oracles import (OPENBLAS_SETTERS, best_x_state_pair, blas_thread_counts,
-                     dense_chain_hamiltonian, dense_pauli_string, dense_thermal_density,
+from oracles import (OPENBLAS_SETTERS, best_x_state_pair, bisection_noise_robustness,
+                     blas_thread_counts, dense_chain_hamiltonian, dense_pauli_string,
+                     dense_thermal_density,
                      expm_thermal_correlator, haar_state, quench_state_vector)
 
 # phi_0(n=8, t=1) computed once with 50-digit mpmath summation of
@@ -446,7 +447,7 @@ def test_concurrence_noise_robustness_monotone_pair():
         amps = sc.quench_amplitudes(n, t)
         rob = sc.concurrence_noise_robustness(amps)
         assert 0.0 < rob < 1.0
-        # the bisection agrees with the closed-form X-state root of the best pair
+        # the robustness is the closed-form X-state root of the best pair
         closed, i, j = best_x_state_pair(amps)
         assert abs(rob - closed) <= 1e-9, (n, t, rob, closed)
         assert sorted(sc.ring_coordinates(n)[[i, j]]) == [-r_best, r_best]
@@ -454,3 +455,17 @@ def test_concurrence_noise_robustness_monotone_pair():
         below, above = (sc.pair_density_from_quench(amps, i, j, rob + d) for d in (-1e-6, 1e-6))
         assert sc.wootters_concurrence(below) > 0.0
         assert sc.wootters_concurrence(above) == 0.0
+
+
+@pytest.mark.parametrize("n, t", [(16, 3.0), (32, 2.1712983342872487), (32, 10.0), (64, 10.0)])
+def test_concurrence_noise_robustness_matches_bisection(n, t):
+    amps = sc.quench_amplitudes(n, t)
+    rob = sc.concurrence_noise_robustness(amps)
+    assert abs(rob - bisection_noise_robustness(amps)) <= 1e-9, (n, t, rob)
+
+
+def test_concurrence_noise_robustness_zero_time():
+    # at tJ = 0 every pair has phi_i phi_j = 0; the root would be 0/0
+    amps = sc.quench_amplitudes(32, 0.0)
+    assert sc.concurrence_noise_robustness(amps) == 0.0
+    assert bisection_noise_robustness(amps) == 0.0

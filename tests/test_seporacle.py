@@ -1,13 +1,17 @@
 """Separable-side ground truth: product datasets and variational tightness."""
 
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepcert as sc
 from sepcert.errors import NotNormalized
 from sepcert.seporacle import make_rng
 
-from oracles import mixture_moment
+from oracles import mixture_moment, reference_product_search
 
 
 def test_product_state_validation():
@@ -143,3 +147,62 @@ def test_max_over_product_states_bad_sizes(n, restarts):
     wit = sc.Witness(coefficients={"Z[0]": 1.0}, separable_bound=1.0)
     with pytest.raises(sc.BadKey):
         sc.max_over_product_states(wit, n, restarts=restarts, seed=0)
+
+
+@st.composite
+def search_cases(draw):
+    """A witness on n = 1..6 sites, sparse or on every label, with
+    coefficients from a short list that holds 0 (a zero witness has zero
+    gradient everywhere) or from an interval, and search settings small
+    enough that restarts drop out by every route.  Dense witnesses are
+    needed to tell a one-row matrix product from a batched one."""
+    n = draw(st.integers(1, 6))
+    labels = [sc.one_body_label(i, a) for i in range(n) for a in "XYZ"]
+    labels += [sc.two_body_label(i, j, a, b) for i in range(n) for j in range(i + 1, n)
+               for a in "XYZ" for b in "XYZ"]
+    chosen = draw(st.one_of(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=12, unique=True),
+        st.just(labels)))
+    coeff = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                      st.floats(-2.0, 2.0, allow_nan=False))
+    wit = sc.Witness(coefficients={lbl: draw(coeff) for lbl in chosen}, separable_bound=1.0)
+    return wit, n, dict(restarts=draw(st.integers(1, 32)), seed=draw(st.integers(0, 2 ** 16)),
+                        max_iter=draw(st.integers(1, 300)),
+                        stall_window=draw(st.integers(1, 100)))
+
+
+def test_search_bit_identical_to_reference():
+    """The search returns the value and state of its first form bit for bit,
+    over draws that drop restarts at the gradient test, at step underflow,
+    at a stall check, all at once, and down to a single restart."""
+    events = collections.Counter()
+
+    @settings(max_examples=150)
+    @given(search_cases())
+    def check(case):
+        wit, n, kw = case
+        best, state = sc.max_over_product_states(wit, n, **kw)
+        ref_best, ref_bloch = reference_product_search(wit, n, events=events, **kw)
+        assert best == ref_best
+        assert np.array_equal(state.bloch, ref_bloch)
+
+    check()
+    assert all(events[e] > 0 for e in ("gradient", "underflow", "stall", "all", "single")), events
+
+
+# (search seed, 1 - lambda* subtracted from the best value) of the n=32
+# quench ring at tJ = 4, 6, 8, 10 with 16 restarts, as the benchmark runs it.
+QUENCH_SEARCHES = [(4.0, 1, None), (6.0, 2, None), (8.0, 3, None), (10.0, 4, 8.2513e-10)]
+
+
+@pytest.mark.parametrize("t, seed, margin", QUENCH_SEARCHES)
+def test_search_bit_identical_on_quench_witnesses(t, seed, margin):
+    sol, prob = sc.certify(sc.quench_dataset(sc.quench_amplitudes(32, t)))
+    wit = sc.extract_witness(sol, prob)
+    best, state = sc.max_over_product_states(wit, 32, restarts=16, seed=seed)
+    ref_best, ref_bloch = reference_product_search(wit, 32, 16, seed=seed)
+    assert best == ref_best
+    assert np.array_equal(state.bloch, ref_bloch)
+    if margin is not None:
+        # the witness-bound fault margin the benchmark's 1e-9 check sees
+        assert abs(best - (1.0 - sol.lambda_star) - margin) < 5e-15
