@@ -7,6 +7,7 @@ tightness of witness bounds from below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,9 +222,10 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
         g = gl.reshape(-1, n, 3)
         p = g * xl
         g = (g - (p[..., 0] + p[..., 1] + p[..., 2])[..., None] * xl).reshape(len(live), -1)
-        gnorm = np.sqrt(np.add.reduce(g * g, axis=1))
-        keep = (gnorm > grad_tol) & (step > 1e-16)
-        if not keep.all():
+        gsq = np.add.reduce(g * g, axis=1)
+        # sqrt is monotone and correctly rounded, so it commutes with min.
+        if not (math.sqrt(gsq.min()) > grad_tol and step.min() > 1e-16):
+            keep = (np.sqrt(gsq) > grad_tol) & (step > 1e-16)
             live, xl, vl, gl, g, step, checkpoint = _retire(
                 keep, live, x, val, xl, vl, gl, g, step, checkpoint)
             stale = True
@@ -239,7 +241,7 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
         np.copyto(xl, cand, where=improved[:, None, None])
         np.copyto(gl, cand_grad, where=improved[:, None])
         vl = np.where(improved, cand_val, vl)
-        step = np.where(improved, step * 1.2, step * 0.5)
+        step = step * np.where(improved, 1.2, 0.5)
         if it % stall_window == 0:
             moving = vl - checkpoint > stall_tol
             if not moving.all():
