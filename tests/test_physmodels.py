@@ -11,8 +11,8 @@ from sepcert.seporacle import make_rng
 
 from oracles import (OPENBLAS_SETTERS, best_x_state_pair, bisection_noise_robustness,
                      blas_thread_counts, dense_chain_hamiltonian, dense_pauli_string,
-                     dense_thermal_density,
-                     expm_thermal_correlator, haar_state, quench_state_vector)
+                     dense_thermal_density, expm_thermal_correlator, haar_state,
+                     quench_state_vector)
 
 # phi_0(n=8, t=1) computed once with 50-digit mpmath summation of
 # (1/8) sum_k exp(i cos(2 pi k / 8)); imaginary part is exactly zero there.
@@ -465,7 +465,8 @@ def test_concurrence_noise_robustness_matches_bisection(n, t):
 
 
 def test_concurrence_noise_robustness_zero_time():
-    # at tJ = 0 every pair has phi_i phi_j = 0; the root would be 0/0
+    # at tJ = 0 only the flipped site carries amplitude (the others hold
+    # ~1e-16 of rounding), so no pair is entangled
     amps = sc.quench_amplitudes(32, 0.0)
     assert sc.concurrence_noise_robustness(amps) == 0.0
     assert bisection_noise_robustness(amps) == 0.0

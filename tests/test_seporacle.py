@@ -155,7 +155,8 @@ def search_cases(draw):
     coefficients from a short list that holds 0 (a zero witness has zero
     gradient everywhere) or from an interval, and search settings small
     enough that restarts drop out by every route.  Dense witnesses are
-    needed to tell a one-row matrix product from a batched one."""
+    needed to tell a row of a matrix product in one batch size from the
+    same row in another."""
     n = draw(st.integers(1, 6))
     labels = [sc.one_body_label(i, a) for i in range(n) for a in "XYZ"]
     labels += [sc.two_body_label(i, j, a, b) for i in range(n) for j in range(i + 1, n)
@@ -190,8 +191,8 @@ def test_search_bit_identical_to_reference():
     assert all(events[e] > 0 for e in ("gradient", "underflow", "stall", "all", "single")), events
 
 
-# (search seed, 1 - lambda* subtracted from the best value) of the n=32
-# quench ring at tJ = 4, 6, 8, 10 with 16 restarts, as the benchmark runs it.
+# (tJ, search seed, best value minus 1 - lambda* where pinned) of the n=32
+# quench ring with 16 restarts, as the benchmark runs it.
 QUENCH_SEARCHES = [(4.0, 1, None), (6.0, 2, None), (8.0, 3, None), (10.0, 4, 8.2513e-10)]
 
 
