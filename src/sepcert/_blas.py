@@ -1,6 +1,6 @@
 """One BLAS thread for the interior-point solver and for the per-sector
 exact diagonalization of the thermal chains, whose dense kernels (blocks of
-at most 512 at n = 10) lose more to OpenBLAS worker threads (numpy's and
+at most 56 at n = 10) lose more to OpenBLAS worker threads (numpy's and
 scipy's, bundled apart) than they gain.  ``dlsym`` on a linalg extension's
 handle also searches its dependencies, so it reaches the OpenBLAS the
 package bundles.  Builds without ``openblas_set_num_threads_local`` are left

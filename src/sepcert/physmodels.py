@@ -2,8 +2,9 @@
 
 Covers the noisy-singlet (Werner) pair, the single-flip quench on an XX ring,
 thermal states of small Heisenberg / transverse-field Ising chains by exact
-diagonalization per symmetry sector, structure factors, and two-qubit
-concurrence diagnostics.
+diagonalization per sector of translation and global spin flip (and S^z),
+read off per sector without forming the 2^n x 2^n Gibbs state, structure
+factors, and two-qubit concurrence diagnostics.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ._blas import single_blas_thread
 from .corrdata import AXES, SAME_AXIS, CorrelationDataset, PauliAxis
 from .errors import BadKey, BadNoiseLevel, NotDensity, NotNormalized, TooLarge
 
-ED_SITE_CAP = 14           # chain length cap: states and Gibbs states are dense 2^n arrays
+ED_SITE_CAP = 14           # chain length cap: state_dataset reads dense 2^n arrays
 ED_TEMPERATURE_FLOOR = 1e-3
 _CLEAN_TOL = 1e-13         # ED values below this are rounded to exact zero
 
@@ -199,58 +200,117 @@ def hamiltonian(spec: ModelSpec) -> sp.csr_matrix:
     return scale * h
 
 
-def _sector_basis(spec: ModelSpec):
-    """Real orthonormal basis Q that block-diagonalizes H, as a sparse matrix,
-    and the column range of each symmetry sector.
+def _orbits(n: int):
+    """The orbits of the group G generated by the ring translation T and the
+    global flip P = prod_i X_i on the basis states.
 
-    Both models commute with the global flip P = prod_i X_i, which maps
-    basis state s to its complement 2^n - 1 - s.  Over the states s with
-    site 0 up, the columns (|s> + |s-bar>)/sqrt2 span P = +1 and
-    (|s> - |s-bar>)/sqrt2 span P = -1.  The Heisenberg chain also conserves
-    S^z; P maps popcount k to n - k, so min(k, n - k) splits each P sector
-    further (n = 10: blocks of 1, 10, 45, 120, 210, 126 per P sector).
+    T moves every site one place round the ring and P complements every
+    bit; both permute basis states without signs, and G = Z_n x Z_2 has
+    2n elements T^m P^s.  Each orbit is represented by its smallest state.
+    Returns (orbit, m, s, size, reps, stab): the orbit index of every state
+    x, with x = T^-m P^s reps[orbit[x]], the size of each orbit and, per
+    group element (rows s * n + m), whether it fixes each representative.
     """
-    n = spec.n
-    dim, half = 1 << n, 1 << (n - 1)
-    key = np.zeros(half, dtype=int)
-    if spec.kind is ModelKind.HEISENBERG:
-        down = (_site_signs(n)[:, :half] < 0).sum(axis=0)
-        key = np.minimum(down, n - down)
-    reps = np.argsort(key, kind="stable")
-    edges = np.concatenate([[0], np.flatnonzero(np.diff(key[reps])) + 1, [half]])
-    col = np.arange(half)
-    q = sp.csr_matrix(
-        (np.concatenate([np.ones(3 * half), -np.ones(half)]) / np.sqrt(2.0),
-         (np.concatenate([reps, dim - 1 - reps] * 2),
-          np.concatenate([col, col, half + col, half + col]))),
-        shape=(dim, dim))
-    sectors = [(off + lo, off + hi) for off in (0, half) for lo, hi in zip(edges[:-1], edges[1:])]
-    return q, sectors
+    x = np.arange(1 << n)
+    shift = np.arange(n)[:, None]
+    rot = ((x << shift) | (x >> (n - shift))) & ((1 << n) - 1)
+    images = np.concatenate([rot, (1 << n) - 1 - rot])   # row s * n + m: T^m P^s x
+    first = images.argmin(axis=0)
+    reps, orbit = np.unique(images[first, x], return_inverse=True)
+    stab = images[:, reps] == reps
+    return orbit, first % n, first // n, 2 * n // stab.sum(axis=0), reps, stab
 
 
 @single_blas_thread()
-def thermal_density(spec: ModelSpec, temperature: float) -> np.ndarray:
-    """Gibbs state exp(-H/T)/Z as a dense real matrix.
+def _gibbs_flips(spec: ModelSpec, temperature: float, flips: np.ndarray) -> np.ndarray:
+    """rho[x ^ f, x] of the Gibbs state exp(-H/T)/Z for every flip mask f in
+    ``flips`` and every basis state x, as a (len(flips), 2^n) real array.
 
-    H is diagonalized one symmetry sector at a time (see ``_sector_basis``);
-    the Gibbs state is Q R Q^T with R the block-diagonal Gibbs state in the
-    sector basis Q.  Temperatures below the 1e-3 floor are raised to it,
-    standing in for the T -> 0 limit without ground-state degeneracy branches.
+    H commutes with the group G of ``_orbits``, so it is block diagonal over
+    the characters chi(T^m P^s) = exp(2 pi i k m / n) p^s of G.  A
+    representative r on whose stabilizer chi is trivial spans the state
+    |r, chi> = O_r^-1/2 sum_y conj(chi(g_y)) |y> over its orbit, O_r the
+    orbit size and g_y an element carrying r to y, and
+        <a, chi|H|b, chi> = sqrt(O_b / O_a) sum_{y in orbit a} H[y, b] chi(g_y),
+    so each block is read off H's columns at the representatives (Sandvik,
+    AIP Conf. Proc. 1297, 135 (2010), sec. 4.1).  The Heisenberg chain also
+    conserves S^z; P maps popcount c to n - c, so min(c, n - c) splits each
+    character's block further.  At n = 10 the Ising chain splits into 20
+    blocks of at most 56 and the Heisenberg chain into 102 blocks of at
+    most 22, in place of one 1024 block.  Both Hamiltonians are real, so
+    the block of -k is the conjugate of the block of k: only k = 0..n/2 is
+    diagonalized (12 and 62 blocks at n = 10), and the other momenta enter
+    as the conjugates of their contributions.
+
+    With R_chi = V diag(w) V^dagger per block, w the Boltzmann weights over
+    the whole spectrum,
+        rho[u, v] = sum_chi R_chi[a_u, a_v] conj(chi(g_u)) chi(g_v) / sqrt(O_u O_v),
+    gathered for u = x ^ f and v = x, so no 2^n x 2^n array is formed.
+    Temperatures below the 1e-3 floor are raised to it, standing in for the
+    T -> 0 limit without ground-state degeneracy branches.
     """
     if temperature <= 0:
         raise BadNoiseLevel(f"temperature must be > 0, got {temperature}")
     T = max(float(temperature), ED_TEMPERATURE_FLOOR)
-    q, sectors = _sector_basis(spec)
-    hq = (q.T @ hamiltonian(spec) @ q).tocsr()
-    eigs = [np.linalg.eigh(hq[lo:hi, lo:hi].toarray()) for lo, hi in sectors]
-    e0 = min(evals[0] for evals, _ in eigs)
-    weights = [np.exp(-(evals - e0) / T) for evals, _ in eigs]
-    z = sum(w.sum() for w in weights)
-    r = np.zeros(q.shape)
-    for (lo, hi), (_, evecs), w in zip(sectors, eigs, weights):
-        r[lo:hi, lo:hi] = (evecs * (w / z)) @ evecs.T
-    r = q @ r                # Q R; R is symmetric, so Q R Q^T = Q (Q R)^T
-    return q @ r.T
+    n = spec.n
+    orbit, shift, flip, size, reps, stab = _orbits(n)
+    down = (_site_signs(n) < 0).sum(axis=0)
+    heisenberg = spec.kind is ModelKind.HEISENBERG
+    cls = np.minimum(down, n - down)[reps] if heisenberg else np.zeros(len(reps), dtype=int)
+    # chi(g) = phase[e] with e = 2 k m + n s [p = -1] mod 2n; exact at +-1
+    phase = np.exp(1j * np.pi * np.arange(2 * n) / n)
+    phase[0], phase[n] = 1.0, -1.0
+    g_m, g_s = np.arange(2 * n) % n, np.arange(2 * n) // n
+
+    # Every entry H[y, r_b] of H's columns at the representatives (H is
+    # symmetric, so column r_b is row r_b), with y in orbit a.
+    h = hamiltonian(spec)
+    cnt = np.diff(h.indptr)[reps]
+    col_b = np.repeat(np.arange(len(reps)), cnt)
+    entry = np.arange(cnt.sum()) + np.repeat(h.indptr[reps] - np.cumsum(cnt) + cnt, cnt)
+    y = h.indices[entry]
+    row_a = orbit[y]
+    amp = h.data[entry] * np.sqrt(size[col_b] / size[row_a])
+
+    sectors = []    # (k, q, position of each orbit in the block or -1, eigenpairs)
+    for k in range(n // 2 + 1):
+        for q in (0, 1):
+            fits = ~(((2 * k * g_m + n * q * g_s) % (2 * n) != 0)[:, None] & stab).any(axis=0)
+            members = np.flatnonzero(fits)
+            if len(members) == 0:
+                continue
+            members = members[np.argsort(cls[members], kind="stable")]
+            pos = np.full(len(reps), -1)
+            pos[members] = np.arange(len(members))
+            keep = (pos[row_a] >= 0) & (pos[col_b] >= 0)
+            chi = phase[(-2 * k * shift[y[keep]] + n * q * flip[y[keep]]) % (2 * n)]
+            mat = np.zeros((len(members), len(members)), dtype=complex)
+            np.add.at(mat, (pos[row_a[keep]], pos[col_b[keep]]), amp[keep] * chi)
+            if 2 * k % n == 0:  # real characters
+                mat = mat.real
+            c = cls[members]
+            edges = np.concatenate([[0], np.flatnonzero(np.diff(c)) + 1, [len(c)]])
+            sectors.append((k, q, pos, [(lo, hi, *np.linalg.eigh(mat[lo:hi, lo:hi]))
+                                        for lo, hi in zip(edges[:-1], edges[1:])]))
+
+    e0 = min(evals[0] for *_, eigs in sectors for _, _, evals, _ in eigs)
+    z = sum((1 if 2 * k % n == 0 else 2) * np.exp(-(evals - e0) / T).sum()
+            for k, _, _, eigs in sectors for _, _, evals, _ in eigs)
+    x = np.arange(1 << n)
+    u = x ^ flips[:, None]
+    out = np.zeros(u.shape)
+    for k, q, pos, eigs in sectors:
+        d = len(pos[pos >= 0])
+        r = np.zeros((d + 1, d + 1), dtype=eigs[0][3].dtype)  # index -1: row and column d, zero
+        for lo, hi, evals, evecs in eigs:
+            r[lo:hi, lo:hi] = (evecs * (np.exp(-(evals - e0) / T) / z)) @ evecs.conj().T
+        e = (-2 * k * shift + n * q * flip) % (2 * n)
+        term = np.real(r[pos[orbit[u]], pos[orbit[x]]] * phase[(e[x] - e[u]) % (2 * n)])
+        out += term if 2 * k % n == 0 else 2.0 * term
+    if heisenberg:  # S^z is conserved; the pairing of c with n - c leaves rounding here
+        out[down[u] != down[x]] = 0.0
+    w = 1.0 / np.sqrt(size[orbit])
+    return out * w[u] * w[x]
 
 
 def _clean(v) -> float:
@@ -290,6 +350,12 @@ def _correlators(state: np.ndarray, n: int):
 def thermal_dataset_ed(spec: ModelSpec, temperature: float) -> CorrelationDataset:
     """All one- and two-body correlators of the Gibbs state.
 
+    The state is translation invariant, so each correlator is read once, at
+    site 0 and at the pairs (0, r) with r <= n/2, from the Gibbs state
+    entries rho[x ^ flip, x] of ``_gibbs_flips`` through the strings' bit
+    action (see ``_correlators``), and every translate is given that value:
+    <P_i^a P_j^b> is the value of (0, j - i, a, b) or, past n/2, of
+    (0, n - j + i, b, a), and at r = n/2 one order of the axes serves both.
     Both Hamiltonians are real, so every correlator with an odd number of Y
     factors vanishes identically and is stored as exact zero.  Values below
     1e-13 are rounded to zero and, for the SU(2)-symmetric Heisenberg chain,
@@ -297,13 +363,30 @@ def thermal_dataset_ed(spec: ModelSpec, temperature: float) -> CorrelationDatase
     emitted dataset carries the model symmetry exactly.
     """
     n = spec.n
-    one, two = _correlators(thermal_density(spec, temperature), n)
+    signs = _site_signs(n)
+    strings = {(0, a, a): {0: a} for a in AXES}
+    strings.update({(r, a, b): {0: a, r: b} for r in range(1, n // 2 + 1)
+                    for a in AXES for b in AXES if 2 * r < n or a <= b})
+    rows = [_string_rows(n, factors, signs) for factors in strings.values()]
+    flips, which = np.unique([cols[0] for cols, _ in rows], return_inverse=True)
+    rho = _gibbs_flips(spec, temperature, flips)
+    value = {}
+    for (key, factors), (_, vals), f in zip(strings.items(), rows, which):
+        n_y = sum(a is PauliAxis.Y for a in factors.values())
+        value[key] = _clean(np.real((1, 1j, -1)[n_y] * (vals @ rho[f])))
     if spec.kind is ModelKind.HEISENBERG:
-        for i in range(n):
-            for j in range(i + 1, n):
-                avg = _clean(np.mean([two[(i, j, a, a)] for a in AXES]))
-                for a in AXES:
-                    two[(i, j, a, a)] = avg
+        for r in range(1, n // 2 + 1):
+            avg = _clean(np.mean([value[(r, a, a)] for a in AXES]))
+            value.update({(r, a, a): avg for a in AXES})
+
+    def pair(d, a, b):
+        if 2 * d > n:
+            d, a, b = n - d, b, a
+        return value[(d, a, b) if 2 * d < n or a <= b else (d, b, a)]
+
+    one = {(i, a): value[(0, a, a)] for i in range(n) for a in AXES}
+    two = {(i, j, a, b): pair(j - i, a, b)
+           for i in range(n) for j in range(i + 1, n) for a in AXES for b in AXES}
     return CorrelationDataset(n, one, two)
 
 

@@ -35,6 +35,12 @@ from .errors import NotEntangled, SolverFailure
 from .momentmat import MomentMatrixLayout, Monomial, layout_for
 
 DETECTION_THRESHOLD = 1e-6
+# Largest |1 - w.C| a detecting solve stops at.  1 - w.C is the lambda
+# entry of the certificate X, about gap / lambda*, which the tolerance test
+# does not bound: near the threshold it reached 1e-5.
+NORMALIZATION_TOL = 1e-7
+# Iterations a converged solve may add to meet NORMALIZATION_TOL.
+NORMALIZATION_ITERS = 5
 # Fraction of the largest feasible step length that each iteration takes.
 STEP_FRACTION = 0.98
 # Doubles in one chunk's (nb, d, d) stack of W F W products in the Schur
@@ -264,7 +270,11 @@ class InteriorPointSolver:
         self.options = options or SolverOptions()
 
     @single_blas_thread()
-    def solve(self, prob: BlockSdp, keep_trace: bool = False) -> IpmResult:
+    def solve(self, prob: BlockSdp, keep_trace: bool = False, accept=None) -> IpmResult:
+        """Iterate until the tolerance test passes and ``accept(x_blocks, y)``,
+        if given, holds; past the test, at most NORMALIZATION_ITERS iterations
+        are added for it, and an iteration that fails in that stretch
+        returns the last iterate that passed."""
         opts = self.options
         if not prob._finalized:
             prob.finalize()
@@ -294,6 +304,8 @@ class InteriorPointSolver:
         trace = []
         status = SdpStatus.ITERATION_LIMIT
         it = 0
+        passed = None   # (x, s, y, it) of the last iterate that passed the tolerance test
+        extra = 0
 
         for it in range(1, opts.max_iter + 1):
             rd = [prob.f0[b] + (prob.kmat[b] @ (-y)).reshape(dims[b], dims[b]) - s[b]
@@ -313,8 +325,11 @@ class InteriorPointSolver:
                 status = SdpStatus.NUMERICAL_TROUBLE
                 break
             if relgap <= opts.tol and pinf <= opts.tol and dinf <= opts.tol:
-                status = SdpStatus.OPTIMAL
-                break
+                if accept is None or extra == NORMALIZATION_ITERS or accept(x, y):
+                    status = SdpStatus.OPTIMAL
+                    break
+                passed = (x, s, y, it)
+                extra += 1
             if dobj > 1e10 * scale:
                 status = SdpStatus.PRIMAL_INFEASIBLE
                 break
@@ -386,6 +401,8 @@ class InteriorPointSolver:
             if keep_trace:
                 trace[-1].update({"sigma": sigma, "alpha_p": alpha_p, "alpha_d": alpha_d})
 
+        if status is not SdpStatus.OPTIMAL and passed is not None:
+            (x, s, y, it), status = passed, SdpStatus.OPTIMAL
         u = -y
         s_final = prob.g_of(u)  # = F0 - A*(y), so s_final - s is the loop's rd
         pobj = sum(float(np.sum(f * xb)) for f, xb in zip(prob.f0, x))
@@ -615,19 +632,33 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
           keep_trace: bool = False) -> SdpSolution:
     """Run the interior-point method and build verified certificates."""
     solver = InteriorPointSolver(options)
-    res = solver.solve(problem.reduced, keep_trace=keep_trace)
     layout = problem.layout
-
-    # The certificate is block diagonal over the logical blocks: entries of
-    # a packed solver block between them could only be rounding, and
-    # unpack drops them.
     unpack = problem.reduced.unpack
-    xproj = unpack(solver.certificate_projection(problem.reduced, res.x_blocks))
-    zbar = _average_over_group(layout, problem.solver_gamma(xproj))
-    w_data, c_data = _extract_multipliers(layout, zbar)
+
+    def certificate(x_blocks):
+        # The certificate is block diagonal over the logical blocks: entries
+        # of a packed solver block between them could only be rounding, and
+        # unpack drops them.
+        xproj = unpack(solver.certificate_projection(problem.reduced, x_blocks))
+        zbar = _average_over_group(layout, problem.solver_gamma(xproj))
+        w_data, c_data = _extract_multipliers(layout, zbar)
+        return xproj, w_data, float(np.dot(list(w_data.values()), list(c_data.values())))
+
+    last = {}
+
+    def normalized(x_blocks, y):
+        if -y[0] <= DETECTION_THRESHOLD:  # no witness is drawn from it
+            return True
+        last["x"], last["cert"] = x_blocks, certificate(x_blocks)
+        return abs(1.0 - last["cert"][2]) <= NORMALIZATION_TOL
+
+    res = solver.solve(problem.reduced, keep_trace=keep_trace, accept=normalized)
+    if last.get("x") is res.x_blocks:
+        xproj, w_data, w_dot_c = last["cert"]
+    else:
+        xproj, w_data, w_dot_c = certificate(res.x_blocks)
 
     dual_resid = max(0.0, -min(float(np.linalg.eigvalsh(blk)[0]) for blk in xproj))
-    w_dot_c = float(np.dot(list(w_data.values()), list(c_data.values())))
     dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(unpack(problem.reduced.f0), xproj))
     lambda_star = float(res.u[0])
     strong_resid = abs(lambda_star - dual_obj)

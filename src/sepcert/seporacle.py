@@ -195,6 +195,8 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
     """
     if int(restarts) < 1 or int(n) < 1:
         raise BadKey(f"need restarts >= 1 and n >= 1, got restarts={restarts}, n={n}")
+    if int(stall_window) < 1:
+        raise BadKey(f"need stall_window >= 1, got {stall_window}")
     rng = make_rng(seed)
     terms = _WitnessTerms(witness, n)
     B = int(restarts)

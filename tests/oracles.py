@@ -13,6 +13,7 @@ import functools
 import numpy as np
 import numpy.linalg._umath_linalg
 import scipy.linalg._flapack
+import scipy.sparse
 
 import sepcert as sc
 from sepcert.seporacle import make_rng
@@ -495,6 +496,70 @@ def dense_thermal_density(spec, temperature):
     w = np.exp(-(evals - evals[0]) / max(temperature, 1e-3))
     w /= w.sum()
     return (evecs * w) @ evecs.T
+
+
+def _sector_basis(spec):
+    """Real orthonormal basis Q that block-diagonalizes H, as a sparse matrix,
+    and the column range of each symmetry sector.
+
+    Both models commute with the global flip P = prod_i X_i, which maps
+    basis state s to its complement 2^n - 1 - s.  Over the states s with
+    site 0 up, the columns (|s> + |s-bar>)/sqrt2 span P = +1 and
+    (|s> - |s-bar>)/sqrt2 span P = -1.  The Heisenberg chain also conserves
+    S^z; P maps popcount k to n - k, so min(k, n - k) splits each P sector
+    further (n = 10: blocks of 1, 10, 45, 120, 210, 126 per P sector).
+    """
+    n = spec.n
+    dim, half = 1 << n, 1 << (n - 1)
+    key = np.zeros(half, dtype=int)
+    if spec.kind is sc.ModelKind.HEISENBERG:
+        down = np.array([bin(s).count("1") for s in range(half)])
+        key = np.minimum(down, n - down)
+    reps = np.argsort(key, kind="stable")
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(key[reps])) + 1, [half]])
+    col = np.arange(half)
+    q = scipy.sparse.csr_matrix(
+        (np.concatenate([np.ones(3 * half), -np.ones(half)]) / np.sqrt(2.0),
+         (np.concatenate([reps, dim - 1 - reps] * 2),
+          np.concatenate([col, col, half + col, half + col]))),
+        shape=(dim, dim))
+    sectors = [(off + lo, off + hi) for off in (0, half) for lo, hi in zip(edges[:-1], edges[1:])]
+    return q, sectors
+
+
+def sector_thermal_density(spec, temperature):
+    """Gibbs state as a dense real matrix from one diagonalization per sector
+    of the global flip (and of S^z for the Heisenberg chain): Q R Q^T with R
+    the block-diagonal Gibbs state in the sector basis Q of ``_sector_basis``."""
+    from sepcert.physmodels import hamiltonian
+
+    T = max(float(temperature), 1e-3)
+    q, sectors = _sector_basis(spec)
+    hq = (q.T @ hamiltonian(spec) @ q).tocsr()
+    eigs = [np.linalg.eigh(hq[lo:hi, lo:hi].toarray()) for lo, hi in sectors]
+    e0 = min(evals[0] for evals, _ in eigs)
+    weights = [np.exp(-(evals - e0) / T) for evals, _ in eigs]
+    z = sum(w.sum() for w in weights)
+    r = np.zeros(q.shape)
+    for (lo, hi), (_, evecs), w in zip(sectors, eigs, weights):
+        r[lo:hi, lo:hi] = (evecs * (w / z)) @ evecs.T
+    r = q @ r                # Q R; R is symmetric, so Q R Q^T = Q (Q R)^T
+    return q @ r.T
+
+
+def sector_thermal_dataset(spec, temperature):
+    """Thermal correlators read off ``sector_thermal_density`` one string at a
+    time, cleaned and (Heisenberg) axis-averaged as ``thermal_dataset_ed``
+    states."""
+    ds = sc.state_dataset(sector_thermal_density(spec, temperature))
+    one, two = dict(ds.one_items()), dict(ds.two_items())
+    if spec.kind is sc.ModelKind.HEISENBERG:
+        for i in range(spec.n):
+            for j in range(i + 1, spec.n):
+                avg = float(np.mean([two[(i, j, a, a)] for a in sc.AXES]))
+                for a in sc.AXES:
+                    two[(i, j, a, a)] = 0.0 if abs(avg) < 1e-13 else avg
+    return sc.CorrelationDataset(spec.n, one, two)
 
 
 def expm_thermal_correlator(spec, temperature, i, j, axis):

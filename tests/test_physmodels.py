@@ -1,5 +1,7 @@
 """Physical dataset generators against exact-state and frozen oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,13 @@ from hypothesis import strategies as st
 
 import sepcert as sc
 from sepcert.errors import BadKey, BadNoiseLevel, MissingData, NotDensity, TooLarge
+from sepcert.momentmat import SchemeKind
 from sepcert.seporacle import make_rng
 
 from oracles import (OPENBLAS_SETTERS, best_x_state_pair, bisection_noise_robustness,
                      blas_thread_counts, dense_chain_hamiltonian, dense_pauli_string,
                      dense_thermal_density, expm_thermal_correlator, haar_state,
-                     quench_state_vector)
+                     quench_state_vector, sector_thermal_dataset)
 
 # phi_0(n=8, t=1) computed once with 50-digit mpmath summation of
 # (1/8) sum_k exp(i cos(2 pi k / 8)); imaginary part is exactly zero there.
@@ -191,6 +194,65 @@ def test_thermal_density_diagonalizes_on_one_blas_thread(monkeypatch):
     sc.thermal_dataset_ed(sc.ModelSpec(kind="ising", n=6, g=1.0), 0.5)
     assert inside and all(c == [1] * len(OPENBLAS_SETTERS) for c in inside)
     assert blas_thread_counts() == before
+
+
+def _u1_odd(key):
+    """True for a correlator with an odd number of X and Y factors, which the
+    S^z-conserving Heisenberg Gibbs state holds at zero."""
+    return sum(a is not sc.PauliAxis.Z for a in key[len(key) // 2:]) % 2 == 1
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "ising"])
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_thermal_dataset_matches_sector_oracle(kind, n):
+    spec = sc.ModelSpec(kind=kind, n=n, g=1.0)
+    for temp in (1e-3, 0.3, 5.0):
+        ds = sc.thermal_dataset_ed(spec, temp)
+        ref = sector_thermal_dataset(spec, temp)
+        got = {**dict(ds.one_items()), **dict(ds.two_items())}
+        want = {**dict(ref.one_items()), **dict(ref.two_items())}
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in got) <= 1e-12
+        zeros = {k for k, v in got.items() if v == 0.0}
+        ref_zeros = {k for k, v in want.items() if v == 0.0}
+        # The flip-sector oracle leaves rounding of up to 4.3e-13 on <X_i>,
+        # which S^z conservation holds at zero, in the degenerate odd-n
+        # Heisenberg ground state at T = 1e-3, and so breaks the X flip that
+        # the rotation-invariant scheme needs; every other zero is shared.
+        assert ref_zeros <= zeros
+        if zeros == ref_zeros:
+            assert sc.select_scheme(ds) == sc.select_scheme(ref)
+        else:
+            assert kind == "heisenberg" and n % 2 and temp == 1e-3
+            assert all(_u1_odd(k) for k in zeros - ref_zeros)
+            assert sc.select_scheme(ds).kind is SchemeKind.ROTATION_INVARIANT
+
+
+@pytest.mark.parametrize("kind, n", [("heisenberg", 7), ("heisenberg", 10),
+                                     ("ising", 7), ("ising", 10)])
+def test_thermal_translates_bit_equal(kind, n):
+    ds = sc.thermal_dataset_ed(sc.ModelSpec(kind=kind, n=n, g=0.7), 0.4)
+    for t in range(n):
+        for (i, a), v in ds.one_items():
+            assert ds.one((i + t) % n, a) == v
+        for (i, j, a, b), v in ds.two_items():
+            assert ds.two((i + t) % n, (j + t) % n, a, b) == v
+    if kind == "heisenberg":
+        assert all(v == 0.0 for k, v in ds.two_items() if _u1_odd(k))
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "ising"])
+def test_thermal_dataset_memory_below_one_dense_array(kind):
+    # one dense real 1024 x 1024 array is 8 MB
+    spec = sc.ModelSpec(kind=kind, n=10, g=1.0)
+    sc.thermal_dataset_ed(sc.ModelSpec(kind=kind, n=4, g=1.0), 0.5)
+    tracemalloc.start()
+    try:
+        sc.thermal_dataset_ed(spec, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 8
 
 
 def test_ring_coordinates():

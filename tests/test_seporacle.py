@@ -149,6 +149,13 @@ def test_max_over_product_states_bad_sizes(n, restarts):
         sc.max_over_product_states(wit, n, restarts=restarts, seed=0)
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_max_over_product_states_bad_stall_window(window):
+    wit = sc.Witness(coefficients={"ZZ[0,1]": 1.0}, separable_bound=1.0)
+    with pytest.raises(sc.BadKey):
+        sc.max_over_product_states(wit, 2, restarts=4, seed=0, stall_window=window)
+
+
 @st.composite
 def search_cases(draw):
     """A witness on n = 1..6 sites, sparse or on every label, with
