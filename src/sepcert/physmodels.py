@@ -264,13 +264,10 @@ def _gibbs_flips(spec: ModelSpec, temperature: float, flips: np.ndarray) -> np.n
 
     # Every entry H[y, r_b] of H's columns at the representatives (H is
     # symmetric, so column r_b is row r_b), with y in orbit a.
-    h = hamiltonian(spec)
-    cnt = np.diff(h.indptr)[reps]
-    col_b = np.repeat(np.arange(len(reps)), cnt)
-    entry = np.arange(cnt.sum()) + np.repeat(h.indptr[reps] - np.cumsum(cnt) + cnt, cnt)
-    y = h.indices[entry]
+    cols = hamiltonian(spec)[reps].tocoo()
+    col_b, y = cols.row, cols.col
     row_a = orbit[y]
-    amp = h.data[entry] * np.sqrt(size[col_b] / size[row_a])
+    amp = cols.data * np.sqrt(size[col_b] / size[row_a])
 
     sectors = []    # (k, q, position of each orbit in the block or -1, eigenpairs)
     for k in range(n // 2 + 1):
