@@ -290,8 +290,9 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     args_dict = {"n": args.n, "g": args.g, "model": getattr(args, "model", None),
                  "level": args.level, "options": _solver_options(args)}
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(points))  # the pool starts every worker up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, [args.kind] * len(points), points,
                                  [args_dict] * len(points)))
     else:
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_thermal.add_argument("--grid", required=True, help="comma-separated temperatures")
     s_thermal.add_argument("--g", type=float, default=0.0)
     for p in (s_quench, s_thermal):
-        p.add_argument("--workers", type=int, default=max(1, min(4, os.cpu_count() or 1)))
+        p.add_argument("--workers", type=_positive(int), default=min(4, os.cpu_count() or 1))
         _out_flag(p)
         _solver_flags(p)
         p.set_defaults(func=cmd_sweep)

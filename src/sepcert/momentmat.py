@@ -332,7 +332,7 @@ class EntryExpr:
     """Affine value of one entry: const + sum(coeff*(1-lam)*C_label) + sum(coeff*u_var)."""
 
     const: float = 0.0
-    data: tuple = ()         # ((label, C_value, coeff), ...)
+    data: tuple = ()         # ((label, slot, coeff), ...); C_label is the layout's values[slot]
     vars: tuple = ()         # ((var_index, coeff), ...)
 
 
@@ -343,8 +343,8 @@ class MomentMatrixLayout:
     ``entry_kind`` maps canonical positions (r <= c) to Constant / Data /
     FreeVar / Zero; ``free_var_count`` counts the independent unknowns after
     tie-merging and per-site elimination through the quadratic constraint.
-    Every field but ``entry_kind`` and ``solver_exprs`` depends on the
-    dataset's shape only and is immutable, so layouts of one shape share them.
+    ``values`` holds the stored correlators in slot order.  Every other field
+    depends on the shape only and is the template's own, which no caller modifies.
 
     At levels >= 2 the full basis contains {1, x_i^2, y_i^2, z_i^2}, which
     are linearly dependent on the sphere, so every valid moment matrix is
@@ -366,6 +366,7 @@ class MomentMatrixLayout:
     expansion: tuple = field(repr=False, default=())
     # basis_action of every scheme group element, in group_elements() order
     group_actions: tuple = field(repr=False, default=())
+    values: tuple = field(repr=False, default=())
 
     @property
     def dim(self) -> int:
@@ -452,13 +453,11 @@ def _check_basis(basis: MonomialBasis, ds: CorrelationDataset, scheme: SymmetryS
 
 
 def _bind(template: MomentMatrixLayout, index, ds: CorrelationDataset) -> MomentMatrixLayout:
-    """The layout of ``ds`` from a template of its shape: each data term's
-    slot becomes the dataset's value, gathered through ``index``."""
+    """The layout of ``ds`` from a template of its shape: the template with
+    the dataset's values, gathered in slot order through ``index``."""
     one, two = ds.arrays()
-    vals = np.concatenate((one.ravel()[index[0]], two.ravel()[index[1]])).tolist()
-    return dataclasses.replace(template, entry_kind=dict(template.entry_kind), solver_exprs={
-        key: EntryExpr(e.const, tuple([(lbl, vals[k], cf) for lbl, k, cf in e.data]), e.vars)
-        if e.data else e for key, e in template.solver_exprs.items()})
+    vals = np.concatenate((one.ravel()[index[0]], two.ravel()[index[1]]))
+    return dataclasses.replace(template, values=tuple(vals.tolist()))
 
 
 def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
@@ -484,9 +483,9 @@ def build_layout(basis: MonomialBasis, ds: CorrelationDataset,
 
 def _template(basis: MonomialBasis, ds: CorrelationDataset,
               scheme: SymmetryScheme):
-    """The layout of the dataset's shape and the flat indices of its data:
-    a data term of ``solver_exprs`` holds the slot of its value in place of
-    the value (see ``_stored_moments``), and nothing else reads a value."""
+    """The layout of the dataset's shape, with no ``values``, and the flat
+    indices into ``ds.arrays()`` of its data slots (see ``_stored_moments``);
+    nothing here reads a value."""
     stored, index = _stored_moments(ds)
     moves = [(perm, frozenset(a for a in range(3) if signs[a] == -1))
              for perm, signs in scheme.group_elements() if (perm, signs) != (_IDENTITY, _NO_FLIP)]
@@ -608,7 +607,7 @@ def layout_for(ds: CorrelationDataset, level: int = 1, scheme=None,
     with extras; an explicit scheme is checked against the data.  The
     symbolic layout is built once per shape, keyed by (n, level, extras,
     scheme, which correlators are stored), and the LAYOUT_CACHE_SIZE most
-    recent shapes are kept; each call binds its own dataset's values.
+    recent shapes are kept; a call returns its shape's template with ``values`` set.
     """
     basis = monomial_basis(ds.n_sites, level, extras)
     explicit = scheme is not None

@@ -546,13 +546,14 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
     reduced = BlockSdp(block_dims=[1] + [len(idx) for idx in gamma_blocks],
                        n_vars=nvars, c=objective)
     reduced.add_coeff(0, 0, 0, 0, 1.0)  # scalar block carries lambda itself
+    values = layout.values
     for (r, c), expr in entries:
         b, r, c = block_of[r], local[r], local[c]
         if expr.const:
             reduced.add_const(b, r, c, expr.const)
-        for label, cval, coeff in expr.data:
-            reduced.add_const(b, r, c, coeff * cval)
-            reduced.add_coeff(b, 0, r, c, -coeff * cval)
+        for _, slot, coeff in expr.data:
+            reduced.add_const(b, r, c, coeff * values[slot])
+            reduced.add_coeff(b, 0, r, c, -coeff * values[slot])
         for var, coeff in expr.vars:
             reduced.add_coeff(b, 1 + var, r, c, coeff)
     initial_u = np.empty(nvars)
@@ -613,18 +614,18 @@ def _extract_multipliers(layout: MomentMatrixLayout, zbar: np.ndarray):
 
     Each correlator label gets w_alpha = -<D_alpha, Z> = -2 sum coeff Z[r, c],
     where D_alpha is the coefficient of C_alpha in the solver-basis entry
-    expressions.  Returns (w_data, c_data): the multipliers and the values
-    C_alpha, keyed by label in the same order.
+    expressions.  Returns w_data, keyed by label, and w.C over the layout's
+    ``values``.
     """
     # A correlator is odd in some Bloch component and a diagonal entry's
     # moment is even in all, so data terms sit off the diagonal only.
     z = zbar.tolist()
     w_data, c_data = {}, {}
     for (r, c), expr in layout.solver_exprs.items():
-        for label, cval, coeff in expr.data:
+        for label, slot, coeff in expr.data:
             w_data[label] = w_data.get(label, 0.0) - 2.0 * coeff * z[r][c]
-            c_data[label] = cval
-    return w_data, c_data
+            c_data[label] = layout.values[slot]
+    return w_data, float(np.dot(list(w_data.values()), list(c_data.values())))
 
 
 @single_blas_thread()
@@ -641,8 +642,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
         # unpack drops them.
         xproj = unpack(solver.certificate_projection(problem.reduced, x_blocks))
         zbar = _average_over_group(layout, problem.solver_gamma(xproj))
-        w_data, c_data = _extract_multipliers(layout, zbar)
-        return xproj, w_data, float(np.dot(list(w_data.values()), list(c_data.values())))
+        return (xproj, *_extract_multipliers(layout, zbar))
 
     last = {}
 

@@ -16,7 +16,10 @@ from .corrdata import AXES, CorrelationDataset, parse_label
 from .errors import BadKey, NotNormalized
 
 DEFAULT_RESTARTS = 1000
+MAX_ITER = 4000
 GRAD_TOL = 1e-10
+STALL_WINDOW = 64
+STALL_TOL = 1e-9
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -153,10 +156,6 @@ class _WitnessTerms:
         half = flat @ self.wmat
         return 0.5 * np.einsum("bs,bs->b", flat, half) + flat @ self.wvec, half + self.wvec
 
-    def grad(self, flat):
-        """Euclidean gradients for a batch of flattened states, shape (B, 3n)."""
-        return flat @ self.wmat + self.wvec
-
 
 def _retire(keep, live, x, val, xl, vl, *rows):
     """Write the restarts that ``keep`` drops back into the full ``x`` and
@@ -167,16 +166,15 @@ def _retire(keep, live, x, val, xl, vl, *rows):
     return (live[keep], xl[keep], vl[keep]) + tuple(r[keep] for r in rows)
 
 
-def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
-                            seed=0, max_iter: int = 4000, grad_tol: float = GRAD_TOL,
-                            stall_window: int = 64, stall_tol: float = 1e-9):
+def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS, seed=0):
     """Best local maximum of a witness functional over pure product states.
 
     Projected gradient ascent on the product of unit spheres, run from
-    ``restarts`` random starts in one vectorized batch.  The step is halved
-    on non-improvement; a restart stops once its Riemannian gradient norm
-    drops below ``grad_tol``, its step underflows, or its value has gained
-    less than ``stall_tol`` over the last ``stall_window`` iterations (these
+    ``restarts`` random starts in one vectorized batch, for at most
+    ``MAX_ITER`` iterations.  The step is halved on non-improvement; a
+    restart stops once its Riemannian gradient norm drops below
+    ``GRAD_TOL``, its step underflows, or its value has gained less than
+    ``STALL_TOL`` over the last ``STALL_WINDOW`` iterations (these
     landscapes develop nearly flat ridges along which strict ascent crawls
     indefinitely).  Pure products suffice: the maximum of a linear functional
     over the (convex) separable set is attained at an extreme point.
@@ -195,8 +193,6 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
     """
     if int(restarts) < 1 or int(n) < 1:
         raise BadKey(f"need restarts >= 1 and n >= 1, got restarts={restarts}, n={n}")
-    if int(stall_window) < 1:
-        raise BadKey(f"need stall_window >= 1, got {stall_window}")
     rng = make_rng(seed)
     terms = _WitnessTerms(witness, n)
     B = int(restarts)
@@ -210,7 +206,7 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
     step = np.full(B, 0.5)
     checkpoint = vl
     stale = False
-    for it in range(1, int(max_iter) + 1):
+    for it in range(1, MAX_ITER + 1):
         if len(live) == 0:
             break
         if stale:
@@ -218,7 +214,7 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
             # batch of another size (numpy takes another routine for one
             # row, OpenBLAS another kernel for a few), so once restarts
             # drop out every gradient is taken again, in the new batch.
-            gl = terms.grad(xl.reshape(len(live), -1))
+            gl = terms.value(xl.reshape(len(live), -1))[1]
             stale = False
         # Riemannian gradient: project out the radial component per site.
         g = gl.reshape(-1, n, 3)
@@ -226,8 +222,8 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
         g = (g - (p[..., 0] + p[..., 1] + p[..., 2])[..., None] * xl).reshape(len(live), -1)
         gsq = np.add.reduce(g * g, axis=1)
         # sqrt is monotone and correctly rounded, so it commutes with min.
-        if not (math.sqrt(gsq.min()) > grad_tol and step.min() > 1e-16):
-            keep = (np.sqrt(gsq) > grad_tol) & (step > 1e-16)
+        if not (math.sqrt(gsq.min()) > GRAD_TOL and step.min() > 1e-16):
+            keep = (np.sqrt(gsq) > GRAD_TOL) & (step > 1e-16)
             live, xl, vl, gl, g, step, checkpoint = _retire(
                 keep, live, x, val, xl, vl, gl, g, step, checkpoint)
             stale = True
@@ -244,8 +240,8 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS,
         np.copyto(gl, cand_grad, where=improved[:, None])
         vl = np.where(improved, cand_val, vl)
         step = step * np.where(improved, 1.2, 0.5)
-        if it % stall_window == 0:
-            moving = vl - checkpoint > stall_tol
+        if it % STALL_WINDOW == 0:
+            moving = vl - checkpoint > STALL_TOL
             if not moving.all():
                 live, xl, vl, gl, step = _retire(moving, live, x, val, xl, vl, gl, step)
                 stale = True

@@ -10,6 +10,7 @@ interface.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,8 @@ class Witness:
             raise BadKey(f"unknown orientation {self.orientation!r}")
         if self.provenance not in PROVENANCES:
             raise BadKey(f"unknown provenance {self.provenance!r}")
+        if not all(map(math.isfinite, [*self.coefficients.values(), self.separable_bound])):
+            raise BadKey("witness coefficients and bound must be finite")
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def read_witness(path) -> Witness:
         return Witness(coefficients=coeffs, separable_bound=float(doc["bound"]),
                        orientation=doc.get("orientation", "upper"),
                        provenance=doc.get("provenance", "dual_certificate"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, BadKey) as exc:
         raise ParseError(f"{path}: malformed witness document ({exc})") from None
 
 

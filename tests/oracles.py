@@ -140,9 +140,9 @@ def single_block_problem(layout):
     for (r, c), expr in sorted(layout.solver_exprs.items()):
         if expr.const:
             one.add_const(1, r, c, expr.const)
-        for _, cval, coeff in expr.data:
-            one.add_const(1, r, c, coeff * cval)
-            one.add_coeff(1, 0, r, c, -coeff * cval)
+        for _, slot, coeff in expr.data:
+            one.add_const(1, r, c, coeff * layout.values[slot])
+            one.add_coeff(1, 0, r, c, -coeff * layout.values[slot])
         for var, coeff in expr.vars:
             one.add_coeff(1, 1 + var, r, c, coeff)
     return dataclasses.replace(problem, reduced=one.finalize(),
@@ -168,8 +168,8 @@ def standard_form_rows(layout):
     basis = layout.basis
     monos = basis.monomials
     index = basis.index()
-    values = {label: cval for expr in layout.solver_exprs.values()
-              for label, cval, _ in expr.data}
+    values = {label: layout.values[slot] for expr in layout.solver_exprs.values()
+              for label, slot, _ in expr.data}
     data_rows = [DataRow(kind.label, pos, values[kind.label])
                  for pos, kind in sorted(layout.entry_kind.items())
                  if isinstance(kind, sc.Data)]

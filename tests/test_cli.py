@@ -9,6 +9,7 @@ import pytest
 import scipy
 
 import sepcert as sc
+from sepcert import cli
 from sepcert.cli import main
 
 from oracles import OPENBLAS_SETTERS
@@ -125,6 +126,19 @@ def test_certify_forced_scheme_checked(tmp_path, capsys):
     assert not (tmp_path / "product_n4_seed3.solution.json").exists()
 
 
+@pytest.mark.parametrize("value, bound", [("NaN", "1.0"), ("-1.0", "Infinity")])
+def test_witness_eval_rejects_non_finite_numbers(tmp_path, capsys, value, bound):
+    # Python's json reads the NaN and Infinity literals as floats
+    run(["generate", "werner", "--lambda", "0", "--out", tmp_path])
+    path = tmp_path / "w.json"
+    path.write_text('{"format_version": 1, "coefficients": [{"label": "XX[0,1]", '
+                    f'"value": {value}}}], "bound": {bound}}}', encoding="utf-8")
+    capsys.readouterr()
+    assert run(["witness", "eval", path, tmp_path / "werner_lam0.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "finite" in err
+
+
 def test_witness_eval_roundtrip(tmp_path, capsys):
     run(["generate", "werner", "--lambda", "0", "--out", tmp_path])
     run(["certify", tmp_path / "werner_lam0.json", "--out", tmp_path])
@@ -186,6 +200,33 @@ def test_sweep_worker_pool(tmp_path):
     assert [r["parameter"] for r in rows] == ["0.5", "1.0", "1.5"]
 
 
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the pool size asked for and runs the points in process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    for grid, want in (("0.5,1.0", [2]), ("0.5", [])):
+        started.clear()
+        assert run(["sweep", "quench-1d", "--n", 6, "--grid", grid,
+                    "--workers", 4, "--out", tmp_path]) == 0
+        assert started == want
+        with open(tmp_path / "sweep_quench1d.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == grid.count(",") + 1
+
+
 def test_rerun_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -220,9 +261,12 @@ def test_rerun_determinism(tmp_path):
     ["sweep", "thermal", "--model", "ising", "--n", 4, "--grid", 1, "--max-iter", 0],
     ["oracle", "product-search", "w.json", "--n", 2, "--restarts", 0],
     ["oracle", "product-search", "w.json", "--n", 2, "--restarts", -3],
+    ["sweep", "quench-1d", "--n", 6, "--grid", 1, "--workers", 0],
+    ["sweep", "thermal", "--model", "ising", "--n", 4, "--grid", 1, "--workers", -3],
 ], ids=["missing-lambda", "generate-level", "sweep-scheme", "witness-eval-tol",
         "certify-tol-zero", "certify-max-iter-zero", "sweep-tol-zero",
-        "sweep-max-iter-zero", "oracle-restarts-zero", "oracle-restarts-negative"])
+        "sweep-max-iter-zero", "oracle-restarts-zero", "oracle-restarts-negative",
+        "sweep-workers-zero", "sweep-workers-negative"])
 def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)

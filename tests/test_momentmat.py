@@ -334,6 +334,28 @@ def test_cached_layout_solves_bit_identically():
         assert cached.expansion is layout_for(datasets[0]).expansion
 
 
+def test_cache_hit_is_the_template_with_its_values():
+    momentmat._templates.clear()
+    datasets = [sc.dataset_of(sc.random_product_state(4, seed)) for seed in range(2)]
+    layouts = [layout_for(ds) for ds in datasets]
+    (template, _), = momentmat._templates.values()
+    assert template.values == ()
+    for layout, ds in zip(layouts, datasets):
+        assert layout.entry_kind is template.entry_kind
+        assert layout.solver_exprs is template.solver_exprs
+        # one-body correlators, then two-body ones, in the dataset's order
+        assert layout.values == tuple([v for _, v in ds.one_items()]
+                                      + [v for _, v in ds.two_items()])
+        for expr in layout.solver_exprs.values():
+            for label, slot, _ in expr.data:
+                assert layout.values[slot] == ds.value(label)
+    first, second = layouts
+    for f in dataclasses.fields(MomentMatrixLayout):
+        if f.name != "values":
+            assert getattr(first, f.name) is getattr(second, f.name), f.name
+    assert first.values != second.values
+
+
 def test_layout_cache_keeps_recent_shapes(monkeypatch):
     monkeypatch.setattr(momentmat, "LAYOUT_CACHE_SIZE", 2)
     momentmat._templates.clear()
@@ -378,7 +400,7 @@ def test_layout_cache_under_concurrent_callers(monkeypatch):
             i = (k + offset) % len(datasets)
             got = layout_for(datasets[i])
             if list(got.solver_exprs.items()) != list(want[i].solver_exprs.items()) \
-                    or got.entry_kind != want[i].entry_kind:
+                    or got.entry_kind != want[i].entry_kind or got.values != want[i].values:
                 errors.append(i)
 
     interval = sys.getswitchinterval()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepcert as sc
+from sepcert import seporacle
 from sepcert.errors import NotNormalized
 from sepcert.seporacle import make_rng
 
@@ -149,21 +150,14 @@ def test_max_over_product_states_bad_sizes(n, restarts):
         sc.max_over_product_states(wit, n, restarts=restarts, seed=0)
 
 
-@pytest.mark.parametrize("window", [0, -3])
-def test_max_over_product_states_bad_stall_window(window):
-    wit = sc.Witness(coefficients={"ZZ[0,1]": 1.0}, separable_bound=1.0)
-    with pytest.raises(sc.BadKey):
-        sc.max_over_product_states(wit, 2, restarts=4, seed=0, stall_window=window)
-
-
 @st.composite
 def search_cases(draw):
     """A witness on n = 1..6 sites, sparse or on every label, with
     coefficients from a short list that holds 0 (a zero witness has zero
-    gradient everywhere) or from an interval, and search settings small
-    enough that restarts drop out by every route.  Dense witnesses are
-    needed to tell a row of a matrix product in one batch size from the
-    same row in another."""
+    gradient everywhere) or from an interval, the call's arguments, and an
+    iteration cap and stall window small enough that restarts drop out by
+    every route.  Dense witnesses are needed to tell a row of a matrix
+    product in one batch size from the same row in another."""
     n = draw(st.integers(1, 6))
     labels = [sc.one_body_label(i, a) for i in range(n) for a in "XYZ"]
     labels += [sc.two_body_label(i, j, a, b) for i in range(n) for j in range(i + 1, n)
@@ -174,12 +168,12 @@ def search_cases(draw):
     coeff = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
                       st.floats(-2.0, 2.0, allow_nan=False))
     wit = sc.Witness(coefficients={lbl: draw(coeff) for lbl in chosen}, separable_bound=1.0)
-    return wit, n, dict(restarts=draw(st.integers(1, 32)), seed=draw(st.integers(0, 2 ** 16)),
-                        max_iter=draw(st.integers(1, 300)),
-                        stall_window=draw(st.integers(1, 100)))
+    kw = dict(restarts=draw(st.integers(1, 32)), seed=draw(st.integers(0, 2 ** 16)))
+    stops = dict(max_iter=draw(st.integers(1, 300)), stall_window=draw(st.integers(1, 100)))
+    return wit, n, kw, stops
 
 
-def test_search_bit_identical_to_reference():
+def test_search_bit_identical_to_reference(monkeypatch):
     """The search returns the value and state of its first form bit for bit,
     over draws that drop restarts at the gradient test, at step underflow,
     at a stall check, all at once, and down to a single restart."""
@@ -188,9 +182,11 @@ def test_search_bit_identical_to_reference():
     @settings(max_examples=150)
     @given(search_cases())
     def check(case):
-        wit, n, kw = case
+        wit, n, kw, stops = case
+        monkeypatch.setattr(seporacle, "MAX_ITER", stops["max_iter"])
+        monkeypatch.setattr(seporacle, "STALL_WINDOW", stops["stall_window"])
         best, state = sc.max_over_product_states(wit, n, **kw)
-        ref_best, ref_bloch = reference_product_search(wit, n, events=events, **kw)
+        ref_best, ref_bloch = reference_product_search(wit, n, events=events, **kw, **stops)
         assert best == ref_best
         assert np.array_equal(state.bloch, ref_bloch)
 

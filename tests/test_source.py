@@ -43,3 +43,54 @@ def test_unused_import_check_flags_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_parameters(source: str) -> list:
+    """Parameters that a function never references in its body, as
+    ``qualname.parameter (line N)``.  Dunder protocol methods, whose
+    signatures the protocol fixes, and a method's ``self`` or ``cls`` are
+    skipped."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    a = child.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs + [
+                        p for p in (a.vararg, a.kwarg) if p is not None]
+                    if isinstance(node, ast.ClassDef) and params \
+                            and params[0].arg in ("self", "cls"):
+                        params = params[1:]
+                    used = {n.id for stmt in child.body for n in ast.walk(stmt)
+                            if isinstance(n, ast.Name)}
+                    found.extend(f"{name}.{p.arg} (line {child.lineno})"
+                                 for p in params if p.arg not in used)
+                visit(child, f"{name}.")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# ``problem`` is no longer read, but perfbench/workloads.py and
+# cli.cmd_certify pass it; dropping it waits for a change that may edit the
+# benchmark (FOUND in CHANGES.md, ROADMAP item 6).
+ALLOWED_UNUSED_PARAMETERS = {"extract_witness.problem"}
+
+
+def test_unused_parameter_check_flags_dead_names():
+    src = ("def f(a, b, *args, c=1, **kw):\n"
+           "    def g(d):\n        return a + c\n    return kw\n"
+           "class K:\n    def __eq__(self, other):\n        return True\n"
+           "    def m(self, e):\n        return 1\n")
+    assert unused_parameters(src) == ["f.b (line 1)", "f.args (line 1)",
+                                      "f.g.d (line 2)", "K.m.e (line 8)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    found = unused_parameters(path.read_text(encoding="utf-8"))
+    assert [f for f in found if f.split()[0] not in ALLOWED_UNUSED_PARAMETERS] == []

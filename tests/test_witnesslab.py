@@ -1,5 +1,8 @@
 """Witness families: evaluation, kernels, bounds, implications."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,18 @@ def test_witness_validation():
         sc.Witness(coefficients={}, separable_bound=1.0)
     with pytest.raises(BadKey):
         sc.Witness(coefficients={"Z[0]": 1.0}, separable_bound=1.0, orientation="sideways")
+    for coeff, bound in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(BadKey, match="finite"):
+            sc.Witness(coefficients={"XX[0,1]": 1.0, "Z[0]": coeff}, separable_bound=bound)
+
+
+@pytest.mark.parametrize("value, bound", [("NaN", "1.0"), ("-1.0", "Infinity")])
+def test_read_witness_rejects_non_finite_numbers(tmp_path, value, bound):
+    path = tmp_path / "w.json"
+    path.write_text('{"format_version": 1, "coefficients": [{"label": "XX[0,1]", '
+                    f'"value": {value}}}], "bound": {bound}}}', encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*finite"):
+        sc.read_witness(path)
 
 
 def test_witness_file_roundtrip(tmp_path):
