@@ -30,7 +30,8 @@ from .physmodels import (ModelKind, ModelSpec, commensurate_grid,
                          optimal_structure_witness, quench_amplitudes,
                          quench_dataset, thermal_dataset_ed, werner_dataset)
 from .sdpcore import SdpStatus, SolverOptions, certify, extract_witness
-from .seporacle import dataset_of, max_over_product_states, random_product_state
+from .seporacle import (DEFAULT_RESTARTS, dataset_of, max_over_product_states,
+                        random_product_state)
 from .witnesslab import bipartite_witness_value, read_witness, eval_witness, write_witness
 
 FORMAT_VERSION = 1
@@ -61,17 +62,17 @@ def _seed_flag(parser):
 def _positive(kind):
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
 
 
 def _solver_flags(parser):
-    parser.add_argument("--tol", type=_positive(float), default=1e-8,
+    parser.add_argument("--tol", type=_positive(float), default=SolverOptions.tol,
                         help="solver gap/feasibility tolerance")
-    parser.add_argument("--max-iter", type=_positive(int), default=200)
+    parser.add_argument("--max-iter", type=_positive(int), default=SolverOptions.max_iter)
     parser.add_argument("--level", type=int, choices=(1, 2), default=1,
                         help="relaxation level")
 
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="maximize a witness over product states")
     ops.add_argument("witness")
     ops.add_argument("--n", type=int, required=True)
-    ops.add_argument("--restarts", type=_positive(int), default=1000)
+    ops.add_argument("--restarts", type=_positive(int), default=DEFAULT_RESTARTS)
     _out_flag(ops)
     _seed_flag(ops)
     ops.set_defaults(func=cmd_product_search)

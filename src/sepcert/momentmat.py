@@ -327,42 +327,45 @@ class Zero:
     pass
 
 
-@dataclass(frozen=True)
-class EntryExpr:
-    """Affine value of one entry: const + sum(coeff*(1-lam)*C_label) + sum(coeff*u_var)."""
-
-    const: float = 0.0
-    data: tuple = ()         # ((label, slot, coeff), ...); C_label is the layout's values[slot]
-    vars: tuple = ()         # ((var_index, coeff), ...)
-
-
 @dataclass
 class MomentMatrixLayout:
     """Symbolic layout of the moment matrix for one dataset and scheme.
 
-    ``entry_kind`` maps canonical positions (r <= c) to Constant / Data /
-    FreeVar / Zero; ``free_var_count`` counts the independent unknowns after
-    tie-merging and per-site elimination through the quadratic constraint.
-    ``values`` holds the stored correlators in slot order.  Every other field
-    depends on the shape only and is the template's own, which no caller modifies.
+    ``kind_code`` holds, at every full-basis position, the grid character of
+    its entry kind (C constant, D data, F free, . zero) as a byte, and
+    ``kind_payload`` the constant's value, the data slot or the FreeVar id;
+    ``kind`` decodes them.  ``free_var_count`` counts the independent
+    unknowns after tie-merging and per-site elimination through the
+    quadratic constraint.  ``labels`` names the correlator of each data
+    slot, and ``values`` holds the stored correlators in slot order.  Every
+    other field depends on the shape only and is the template's own, which
+    no caller modifies.
 
     At levels >= 2 the full basis contains {1, x_i^2, y_i^2, z_i^2}, which
     are linearly dependent on the sphere, so every valid moment matrix is
     singular.  The solver therefore works on the facially reduced sub-basis
     of normal-form monomials (per-site z-exponent <= 1); ``solver_monos``,
-    ``solver_exprs`` and ``expansion`` describe that equivalent reduction,
-    with the full matrix recovered as E Gamma_red E^T.
+    the term arrays and ``expansion`` describe that equivalent reduction,
+    with the full matrix recovered as E Gamma_red E^T.  The solver-basis
+    entry (r, c), r <= c, is the affine expression
+    const + sum coeff*(1-lam)*values[slot] + sum coeff*u_var over its terms
+    in ``const_terms`` (row, col, value), ``data_terms`` (row, col, slot,
+    coeff) and ``var_terms`` (row, col, var, coeff), all in (r, c) order.
     """
 
     basis: MonomialBasis
     scheme: SymmetryScheme
     n_sites: int
-    entry_kind: dict
+    kind_code: np.ndarray
+    kind_payload: np.ndarray
     free_var_count: int
-    # internal: the unknowns' monomials and the solver-basis entry expressions
+    labels: tuple = ()
+    # internal: the unknowns' monomials and the solver-basis program
     var_reps: tuple = field(repr=False, default=())
     solver_monos: tuple = field(repr=False, default=())
-    solver_exprs: dict = field(repr=False, default_factory=dict)
+    const_terms: tuple = field(repr=False, default=())
+    data_terms: tuple = field(repr=False, default=())
+    var_terms: tuple = field(repr=False, default=())
     expansion: tuple = field(repr=False, default=())
     # basis_action of every scheme group element, in group_elements() order
     group_actions: tuple = field(repr=False, default=())
@@ -386,7 +389,14 @@ class MomentMatrixLayout:
         return e
 
     def kind(self, r: int, c: int):
-        return self.entry_kind[(min(r, c), max(r, c))]
+        code, value = chr(self.kind_code[r, c]), self.kind_payload[r, c]
+        if code == "C":
+            return Constant(float(value))
+        if code == "D":
+            return Data(self.labels[int(value)])
+        if code == "F":
+            return FreeVar(int(value))
+        return Zero()
 
     def basis_action(self, perm, signs):
         """Action of one group element on basis indices: index permutation and
@@ -405,22 +415,9 @@ class MomentMatrixLayout:
     def render_grid(self) -> str:
         """Compact text grid of entry kinds: 1 constant-one, C constant,
         D data, F free, . zero."""
-        D = self.dim
-        rows = []
-        for r in range(D):
-            chars = []
-            for c in range(D):
-                kind = self.kind(r, c)
-                if isinstance(kind, Constant):
-                    chars.append("1" if kind.value == 1.0 else "C")
-                elif isinstance(kind, Data):
-                    chars.append("D")
-                elif isinstance(kind, FreeVar):
-                    chars.append("F")
-                else:
-                    chars.append(".")
-            rows.append("".join(chars))
-        return "\n".join(rows)
+        grid = np.where((self.kind_code == ord("C")) & (self.kind_payload == 1.0),
+                        ord("1"), self.kind_code).astype(np.uint8)
+        return "\n".join(row.tobytes().decode("ascii") for row in grid)
 
 
 def _stored_moments(ds: CorrelationDataset):
@@ -450,6 +447,13 @@ def _check_basis(basis: MonomialBasis, ds: CorrelationDataset, scheme: SymmetryS
                 f"extra monomial {m} contains a squared z factor; its row adds "
                 f"nothing beyond the normal-form monomials of its expansion, "
                 f"which should be supplied as extras instead")
+
+
+def _columns(terms, width: int) -> tuple:
+    """The columns of (index, ..., coefficient) tuples: integer index arrays,
+    then the coefficients."""
+    a = np.array(terms, dtype=float).reshape(len(terms), width).T
+    return (*a[:-1].astype(np.intp), a[-1].copy())
 
 
 def _bind(template: MomentMatrixLayout, index, ds: CorrelationDataset) -> MomentMatrixLayout:
@@ -492,7 +496,7 @@ def _template(basis: MonomialBasis, ds: CorrelationDataset,
     var_index = {}      # orbit representative -> solver unknown
     public_index = {}   # orbit representative -> public FreeVar id
     orbits = {}
-    memo = {}           # monomial -> (kind, expr)
+    memo = {}           # monomial -> (kind code, payload, const, data terms, var terms)
 
     def var_of(rep: Monomial) -> int:
         return var_index.setdefault(rep, len(var_index))
@@ -528,12 +532,11 @@ def _template(basis: MonomialBasis, ds: CorrelationDataset,
             for a in range(3):
                 cls = swap_class[a]
                 if len(cls) == 3:
-                    memo[sq[a]] = Constant(1.0 / 3.0), EntryExpr(const=1.0 / 3.0)
+                    memo[sq[a]] = "C", 1.0 / 3.0, 1.0 / 3.0, (), ()
                     continue
                 u = var_of(duo[0])
-                memo[sq[a]] = FreeVar(public_of(sq[min(cls)])), (
-                    EntryExpr(vars=((u, 1.0),)) if len(cls) == 2
-                    else EntryExpr(const=1.0, vars=((u, -2.0),)))
+                memo[sq[a]] = ("F", public_of(sq[min(cls)]), *(
+                    (0.0, (), ((u, 1.0),)) if len(cls) == 2 else (1.0, (), ((u, -2.0),))))
 
     def classify(m: Monomial):
         out = memo.get(m)
@@ -554,15 +557,14 @@ def _template(basis: MonomialBasis, ds: CorrelationDataset,
                     varc[vid] = varc.get(vid, 0.0) + sgn * cf
         dm = stored.get(m.factors)
         if not m.factors:
-            kind = Constant(1.0)
+            kind = "C", 1.0
         elif dm is not None:
-            kind = Data(dm[0])
+            kind = "D", dm[1]
         else:
             zero, rep, _ = orbit_rep(m)
-            kind = Zero() if zero else FreeVar(public_of(rep))
-        out = memo[m] = kind, EntryExpr(
-            const=const, data=tuple((lbl, k, c) for lbl, (k, c) in sorted(data.items())),
-            vars=tuple(sorted(varc.items())))
+            kind = (".", 0) if zero else ("F", public_of(rep))
+        out = memo[m] = (*kind, const, tuple(sk for _, sk in sorted(data.items())),
+                         tuple(sorted(varc.items())))
         return out
 
     # Facially reduced solver basis: at levels >= 2 the full basis functions
@@ -575,19 +577,29 @@ def _template(basis: MonomialBasis, ds: CorrelationDataset,
     sub = [sub_index.get(m) for m in monos]
     expansion = tuple(tuple(sorted((sub_index[nm], cf) for nm, cf in reduce_monomial(m).items()))
                       for m in monos)
-    entry_kind = {}
-    solver_exprs = {}
+    codes, payload, consts, data, varc = [], [], [], [], []
     for r, mr in enumerate(monos):
         for c in range(r, len(monos)):
-            kind, expr = classify(mr * monos[c])
-            entry_kind[(r, c)] = kind
+            code, value, const, dterms, vterms = classify(mr * monos[c])
+            codes.append(code)
+            payload.append(value)
             if sub[r] is not None and sub[c] is not None:
-                solver_exprs[(sub[r], sub[c])] = expr
-
+                rc = sub[r], sub[c]
+                if const:
+                    consts.append((*rc, const))
+                data.extend((*rc, *t) for t in dterms)
+                varc.extend((*rc, *t) for t in vterms)
+    upper = np.triu_indices(len(monos))
+    kind_code = np.zeros((len(monos), len(monos)), dtype=np.uint8)
+    kind_payload = np.zeros(kind_code.shape)
+    for full, part in ((kind_code, np.frombuffer("".join(codes).encode(), np.uint8)),
+                       (kind_payload, payload)):
+        full[upper] = full.T[upper] = part  # symmetric, filled from the upper triangle
     layout = MomentMatrixLayout(
-        basis=basis, scheme=scheme, n_sites=basis.n_sites, entry_kind=entry_kind,
-        free_var_count=len(var_index), var_reps=tuple(var_index), solver_monos=solver_monos,
-        solver_exprs=solver_exprs, expansion=expansion)
+        basis=basis, scheme=scheme, n_sites=basis.n_sites, kind_code=kind_code,
+        kind_payload=kind_payload, free_var_count=len(var_index), labels=tuple(label for label, _ in stored.values()),
+        var_reps=tuple(var_index), solver_monos=solver_monos, const_terms=_columns(consts, 3),
+        data_terms=_columns(data, 4), var_terms=_columns(varc, 4), expansion=expansion)
     layout.group_actions = tuple(layout.basis_action(perm, signs)
                                  for perm, signs in scheme.group_elements())
     return layout, index

@@ -21,7 +21,7 @@ from .errors import BadKey, BadNoiseLevel, NotDensity, NotNormalized, TooLarge
 
 ED_SITE_CAP = 14           # chain length cap: state_dataset reads dense 2^n arrays
 ED_TEMPERATURE_FLOOR = 1e-3
-_CLEAN_TOL = 1e-13         # ED values below this are rounded to exact zero
+_CLEAN_TOL = 1e-13         # state_dataset values below this are rounded to exact zero
 
 
 class ModelKind(str, enum.Enum):
@@ -249,8 +249,8 @@ def _gibbs_flips(spec: ModelSpec, temperature: float, flips: np.ndarray) -> np.n
     Temperatures below the 1e-3 floor are raised to it, standing in for the
     T -> 0 limit without ground-state degeneracy branches.
     """
-    if temperature <= 0:
-        raise BadNoiseLevel(f"temperature must be > 0, got {temperature}")
+    if not (temperature > 0 and np.isfinite(temperature)):
+        raise BadNoiseLevel(f"temperature must be finite and > 0, got {temperature}")
     T = max(float(temperature), ED_TEMPERATURE_FLOOR)
     n = spec.n
     orbit, shift, flip, size, reps, stab = _orbits(n)
@@ -344,6 +344,22 @@ def _correlators(state: np.ndarray, n: int):
     return one, two
 
 
+def _forced_zero(spec: ModelSpec, axes) -> bool:
+    """Whether the model holds the correlator of a Pauli string with these
+    axes at zero in every Gibbs state.
+
+    Both Hamiltonians commute with the global flip prod_i X_i, which
+    anticommutes with Y and Z, and are real, which makes a string with an
+    odd number of Y factors imaginary.  SU(2) symmetry (Heisenberg) leaves
+    only same-axis pairs, and a diagonal H (Ising at g = 0) Z strings.
+    """
+    if axes.count(PauliAxis.Y) % 2 or axes.count(PauliAxis.Z) % 2:
+        return True
+    if spec.kind is ModelKind.HEISENBERG:
+        return len(axes) == 1 or axes[0] is not axes[1]
+    return spec.g == 0 and axes.count(PauliAxis.Z) < len(axes)
+
+
 def thermal_dataset_ed(spec: ModelSpec, temperature: float) -> CorrelationDataset:
     """All one- and two-body correlators of the Gibbs state.
 
@@ -353,50 +369,57 @@ def thermal_dataset_ed(spec: ModelSpec, temperature: float) -> CorrelationDatase
     action (see ``_correlators``), and every translate is given that value:
     <P_i^a P_j^b> is the value of (0, j - i, a, b) or, past n/2, of
     (0, n - j + i, b, a), and at r = n/2 one order of the axes serves both.
-    Both Hamiltonians are real, so every correlator with an odd number of Y
-    factors vanishes identically and is stored as exact zero.  Values below
-    1e-13 are rounded to zero and, for the SU(2)-symmetric Heisenberg chain,
-    the three same-axis correlators are averaged to exact equality so the
-    emitted dataset carries the model symmetry exactly.
+    The correlators that the model's symmetries hold at zero (see
+    ``_forced_zero``) are stored as exact zero without being computed; every
+    other value is kept as computed.  For the SU(2)-symmetric Heisenberg
+    chain the three same-axis correlators are averaged to exact equality so
+    the emitted dataset carries the model symmetry exactly.
     """
     n = spec.n
     signs = _site_signs(n)
     strings = {(0, a, a): {0: a} for a in AXES}
     strings.update({(r, a, b): {0: a, r: b} for r in range(1, n // 2 + 1)
                     for a in AXES for b in AXES if 2 * r < n or a <= b})
+    strings = {key: factors for key, factors in strings.items()
+               if not _forced_zero(spec, list(factors.values()))}
     rows = [_string_rows(n, factors, signs) for factors in strings.values()]
     flips, which = np.unique([cols[0] for cols, _ in rows], return_inverse=True)
     rho = _gibbs_flips(spec, temperature, flips)
     value = {}
     for (key, factors), (_, vals), f in zip(strings.items(), rows, which):
-        n_y = sum(a is PauliAxis.Y for a in factors.values())
-        value[key] = _clean(np.real((1, 1j, -1)[n_y] * (vals @ rho[f])))
+        n_y = sum(a is PauliAxis.Y for a in factors.values())  # even: i^n_y = +-1
+        value[key] = float(np.clip(np.real((1, 1j, -1)[n_y] * (vals @ rho[f])), -1.0, 1.0))
     if spec.kind is ModelKind.HEISENBERG:
         for r in range(1, n // 2 + 1):
-            avg = _clean(np.mean([value[(r, a, a)] for a in AXES]))
+            avg = float(np.mean([value[(r, a, a)] for a in AXES]))
             value.update({(r, a, a): avg for a in AXES})
 
     def pair(d, a, b):
         if 2 * d > n:
             d, a, b = n - d, b, a
-        return value[(d, a, b) if 2 * d < n or a <= b else (d, b, a)]
+        return value.get((d, a, b) if 2 * d < n or a <= b else (d, b, a), 0.0)
 
-    one = {(i, a): value[(0, a, a)] for i in range(n) for a in AXES}
+    one = {(i, a): value.get((0, a, a), 0.0) for i in range(n) for a in AXES}
     two = {(i, j, a, b): pair(j - i, a, b)
            for i in range(n) for j in range(i + 1, n) for a in AXES for b in AXES}
     return CorrelationDataset(n, one, two)
 
 
-def state_dataset(state: np.ndarray, n_sites=None) -> CorrelationDataset:
+def state_dataset(state: np.ndarray) -> CorrelationDataset:
     """All one- and two-body correlators of an arbitrary pure state vector or
-    density matrix on 2^n dimensions (general complex path; used as oracle)."""
+    density matrix on 2^n dimensions (general complex path; used as oracle).
+    A density matrix must be Hermitian and of unit trace within 1e-10."""
     state = np.asarray(state).astype(complex)
     dim = state.shape[0]
     if state.ndim == 1:
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-10:
             raise NotNormalized(f"state vector norm {nrm!r} is not 1")
-    n = int(np.round(np.log2(dim))) if n_sites is None else int(n_sites)
+    elif state.shape != (dim, dim) or np.max(np.abs(state - state.conj().T)) > 1e-10:
+        raise NotDensity(f"density matrix of shape {state.shape} is not Hermitian to 1e-10")
+    elif abs(np.trace(state) - 1.0) > 1e-10:
+        raise NotDensity(f"density matrix trace {np.trace(state).real!r} is not 1 to 1e-10")
+    n = int(np.round(np.log2(dim)))
     if 2 ** n != dim:
         raise BadKey(f"state dimension {dim} is not 2^{n}")
     if n > ED_SITE_CAP:

@@ -60,8 +60,8 @@ class SolverOptions:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -79,17 +79,20 @@ class SdpStatus(str, enum.Enum):
 class BlockSdp:
     """min c.u  s.t.  G_b(u) = F0_b + sum_t u_t F_tb >= 0 for every block b.
 
-    Callers declare logical blocks (``block_dims``) and address entries by
-    logical block.  The solver iterates over ``solver_dims``: consecutive
+    Callers declare logical blocks (``block_dims``) and give the entries by
+    logical block: ``const`` is the (block, row, col, value) arrays of F0
+    and ``coeffs`` the (block, row, col, var, value) arrays of the F_t, where
+    an entry off the diagonal also stands for its mirror and entries at one
+    position add up.  The solver iterates over ``solver_dims``: consecutive
     logical blocks share one solver block, on its diagonal, while it stays
     within PACK_DIM rows, and a larger logical block is a solver block of its
     own.  ``pack[b]`` is the (solver block, row offset) of logical block b,
     and :meth:`unpack` returns the logical blocks of per-solver-block
-    matrices.  Matrices are stored as full symmetric triplet lists per
-    solver block; ``kmat`` maps u linearly onto the stacked matrix entries.
+    matrices.  ``f0`` holds F0 per solver block, and ``kmat`` maps u
+    linearly onto each solver block's stacked matrix entries.
     """
 
-    def __init__(self, block_dims, n_vars, c, initial_u=None):
+    def __init__(self, block_dims, n_vars, c, const, coeffs, initial_u=None):
         self.block_dims = [int(d) for d in block_dims]
         self.n_vars = int(n_vars)
         self.c = np.asarray(c, dtype=float)
@@ -102,59 +105,42 @@ class BlockSdp:
             else:
                 self.pack.append((len(self.solver_dims), 0))
                 self.solver_dims.append(d)
-        self._f0 = [np.zeros((d, d)) for d in self.solver_dims]
-        self._trip = [([], [], [], []) for _ in self.solver_dims]  # var, row, col, val
-        self._finalized = False
+        cb, cr, cc, take = self._mirrored(*const[:3])
+        cval = np.asarray(const[3], dtype=float)[take]
+        vb, vr, vc, take = self._mirrored(*coeffs[:3])
+        tv = np.asarray(coeffs[3], dtype=np.intp)[take]
+        vval = np.asarray(coeffs[4], dtype=float)[take]
+        self.f0, self.kmat, self.schur_plan = [], [], []
+        for b, d in enumerate(self.solver_dims):
+            f0, sel = np.zeros((d, d)), cb == b
+            np.add.at(f0, (cr[sel], cc[sel]), cval[sel])
+            self.f0.append(f0)
+            sel = np.flatnonzero(vb == b)
+            sel = sel[np.argsort(tv[sel], kind="stable")]
+            t, r, c, v = tv[sel], vr[sel], vc[sel], vval[sel]
+            self.kmat.append(sp.csr_matrix((v, (r * d + c, t)), shape=(d * d, self.n_vars)))
+            self.schur_plan.append(_schur_chunks(t, r, c, v, d))
+        self.kmat_t = [k.T.tocsr() for k in self.kmat]
+        # Gram matrix of the coefficient matrices, for certificate projection.
+        self.gram = sum((k.T @ k).toarray() for k in self.kmat)
+
+    def _mirrored(self, block, row, col):
+        """Solver block, row and column of entries given by logical block,
+        each entry off the diagonal followed by its mirror, and the index of
+        the given entry at every output position."""
+        sb, off = np.array(self.pack, dtype=np.intp).T
+        block = np.asarray(block, dtype=np.intp)
+        row = np.asarray(row, dtype=np.intp) + off[block]
+        col = np.asarray(col, dtype=np.intp) + off[block]
+        take = np.repeat(np.arange(len(row)), np.where(row != col, 2, 1))
+        mirror = np.r_[False, take[1:] == take[:-1]]
+        row, col = row[take], col[take]
+        return sb[block][take], np.where(mirror, col, row), np.where(mirror, row, col), take
 
     def unpack(self, blocks):
         """The logical blocks of per-solver-block matrices, in order."""
         return [blocks[sb][off:off + d, off:off + d]
                 for (sb, off), d in zip(self.pack, self.block_dims)]
-
-    def add_const(self, block, r, c, value):
-        block, off = self.pack[block]
-        r, c = r + off, c + off
-        f0 = self._f0[block]
-        f0[r, c] += value
-        if r != c:
-            f0[c, r] += value
-
-    def add_coeff(self, block, var, r, c, value):
-        block, off = self.pack[block]
-        r, c = r + off, c + off
-        tv, tr, tc, tval = self._trip[block]
-        tv.append(var)
-        tr.append(r)
-        tc.append(c)
-        tval.append(value)
-        if r != c:
-            tv.append(var)
-            tr.append(c)
-            tc.append(r)
-            tval.append(value)
-
-    def finalize(self):
-        self.f0 = self._f0
-        self.kmat = []
-        self.schur_plan = []
-        for b, d in enumerate(self.solver_dims):
-            tv = np.array(self._trip[b][0], dtype=int)
-            tr = np.array(self._trip[b][1], dtype=int)
-            tc = np.array(self._trip[b][2], dtype=int)
-            tval = np.array(self._trip[b][3], dtype=float)
-            order = np.argsort(tv, kind="stable")
-            tv, tr, tc, tval = tv[order], tr[order], tc[order], tval[order]
-            kmat = sp.csr_matrix((tval, (tr * d + tc, tv)), shape=(d * d, self.n_vars))
-            self.kmat.append(kmat)
-            self.schur_plan.append(_schur_chunks(tv, tr, tc, tval, d))
-        self.kmat_t = [k.T.tocsr() for k in self.kmat]
-        # Gram matrix of the coefficient matrices, for certificate projection.
-        gram = np.zeros((self.n_vars, self.n_vars))
-        for k in self.kmat:
-            gram += (k.T @ k).toarray()
-        self.gram = gram
-        self._finalized = True
-        return self
 
     # -- linear maps --------------------------------------------------------
 
@@ -276,8 +262,6 @@ class InteriorPointSolver:
         are added for it, and an iteration that fails in that stretch
         returns the last iterate that passed."""
         opts = self.options
-        if not prob._finalized:
-            prob.finalize()
         dims = prob.solver_dims
         n = prob.n_vars
         b_vec = prob.c  # right-hand side of the certificate-side constraints
@@ -498,25 +482,20 @@ class SdpProblem:
         return gamma
 
 
-def _components(dim, edges):
-    """Connected components of the graph on range(dim), each a sorted index
-    list, ordered by their smallest index (union-find rooted at the minimum)."""
-    root = list(range(dim))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for r, c in edges:
-        a, b = find(r), find(c)
-        if a != b:
-            root[max(a, b)] = min(a, b)
-    groups = {}
-    for i in range(dim):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def _components(dim, rows, cols):
+    """Connected components of the graph on range(dim) with edges (rows[k],
+    cols[k]), as sorted index arrays ordered by their smallest index.  Each
+    index takes the smallest index it reaches, by lowering labels across the
+    edges and jumping each label to its own label until nothing changes."""
+    label = np.arange(dim)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            return [np.flatnonzero(label == k) for k in np.unique(label)]
+        label = new
 
 
 def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
@@ -536,32 +515,26 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
     nvars = 1 + layout.free_var_count
     objective = np.zeros(nvars)
     objective[0] = 1.0  # minimize the noise variable
-    entries = [(key, expr) for key, expr in sorted(layout.solver_exprs.items())
-               if expr.const or expr.data or expr.vars]
-    gamma_blocks = _components(layout.solver_dim, (key for key, _ in entries))
-    block_of, local = {}, {}
+    c_row, c_col, c_val = layout.const_terms
+    d_row, d_col, slot, coeff = layout.data_terms
+    v_row, v_col, var, v_coeff = layout.var_terms
+    gamma_blocks = _components(layout.solver_dim, np.concatenate((c_row, d_row, v_row)),
+                               np.concatenate((c_col, d_col, v_col)))
+    block_of = np.empty(layout.solver_dim, dtype=np.intp)
+    local = np.empty(layout.solver_dim, dtype=np.intp)
     for b, idx in enumerate(gamma_blocks, start=1):
-        for k, i in enumerate(idx):
-            block_of[i], local[i] = b, k
-    reduced = BlockSdp(block_dims=[1] + [len(idx) for idx in gamma_blocks],
-                       n_vars=nvars, c=objective)
-    reduced.add_coeff(0, 0, 0, 0, 1.0)  # scalar block carries lambda itself
-    values = layout.values
-    for (r, c), expr in entries:
-        b, r, c = block_of[r], local[r], local[c]
-        if expr.const:
-            reduced.add_const(b, r, c, expr.const)
-        for _, slot, coeff in expr.data:
-            reduced.add_const(b, r, c, coeff * values[slot])
-            reduced.add_coeff(b, 0, r, c, -coeff * values[slot])
-        for var, coeff in expr.vars:
-            reduced.add_coeff(b, 1 + var, r, c, coeff)
-    initial_u = np.empty(nvars)
-    initial_u[0] = 1.0
-    for k, rep in enumerate(layout.var_reps):
-        initial_u[1 + k] = uniform_sphere_moment(rep)
-    reduced.initial_u = initial_u
-    reduced.finalize()
+        block_of[idx], local[idx] = b, np.arange(len(idx))
+    data = coeff * np.asarray(layout.values)[slot]
+    row, col = np.concatenate((c_row, d_row)), np.concatenate((c_col, d_col))
+    const = block_of[row], local[row], local[col], np.concatenate((c_val, data))
+    # the scalar block carries lambda itself; the data's (1 - lambda) factor
+    # and the free moments follow in Gamma's blocks
+    row, col = np.concatenate((d_row, v_row)), np.concatenate((d_col, v_col))
+    coeffs = (np.r_[0, block_of[row]], np.r_[0, local[row]], np.r_[0, local[col]],
+              np.r_[0, np.zeros(len(d_row), dtype=np.intp), 1 + var], np.r_[1.0, -data, v_coeff])
+    initial_u = np.array([1.0] + [uniform_sphere_moment(rep) for rep in layout.var_reps])
+    reduced = BlockSdp(block_dims=[1] + [len(idx) for idx in gamma_blocks], n_vars=nvars,
+                       c=objective, const=const, coeffs=coeffs, initial_u=initial_u)
     return SdpProblem(layout=layout, reduced=reduced, gamma_blocks=gamma_blocks)
 
 
@@ -619,13 +592,11 @@ def _extract_multipliers(layout: MomentMatrixLayout, zbar: np.ndarray):
     """
     # A correlator is odd in some Bloch component and a diagonal entry's
     # moment is even in all, so data terms sit off the diagonal only.
-    z = zbar.tolist()
-    w_data, c_data = {}, {}
-    for (r, c), expr in layout.solver_exprs.items():
-        for label, slot, coeff in expr.data:
-            w_data[label] = w_data.get(label, 0.0) - 2.0 * coeff * z[r][c]
-            c_data[label] = layout.values[slot]
-    return w_data, float(np.dot(list(w_data.values()), list(c_data.values())))
+    row, col, slot, coeff = layout.data_terms
+    w = np.bincount(slot, weights=-2.0 * coeff * zbar[row, col])
+    keys = slot[np.sort(np.unique(slot, return_index=True)[1])]  # in order of first use
+    w_data = dict(zip([layout.labels[k] for k in keys], w[keys].tolist()))
+    return w_data, float(np.dot(w[keys], np.asarray(layout.values)[keys]))
 
 
 @single_blas_thread()

@@ -296,36 +296,26 @@ def cmc_check(ds: CorrelationDataset, tol: float = 1e-8) -> CmcResult:
     nvars = 1 + 15
     c_obj = np.zeros(nvars)
     c_obj[0] = -1.0  # maximize s
-    prob = BlockSdp(block_dims=[9, 3, 3, 3], n_vars=nvars, c=c_obj)
     base = cmat - np.outer(cvec, cvec)
-    for r in range(9):
-        for cc in range(r, 9):
-            if base[r, cc] != 0.0:
-                prob.add_const(0, r, cc, base[r, cc])
-    for blk in range(4):
-        d = 9 if blk == 0 else 3
-        for r in range(d):
-            prob.add_coeff(blk, 0, r, r, -1.0)  # -s on every diagonal
+    const = [(0, r, cc, base[r, cc]) for r, cc in zip(*np.triu_indices(9)) if base[r, cc] != 0.0]
+    coeffs = [(blk, r, r, 0, -1.0)  # -s on every diagonal
+              for blk, d in enumerate((9, 3, 3, 3)) for r in range(d)]
 
     # rho_i parametrized by (d0, d1, o01, o02, o12), d2 = 1 - d0 - d1.
     for i in range(3):
         v0 = 1 + 5 * i
         for blk, off in ((0, 3 * i), (1 + i, 0)):
-            prob.add_const(blk, off + 2, off + 2, 1.0)
-            prob.add_coeff(blk, v0 + 0, off + 0, off + 0, 1.0)
-            prob.add_coeff(blk, v0 + 0, off + 2, off + 2, -1.0)
-            prob.add_coeff(blk, v0 + 1, off + 1, off + 1, 1.0)
-            prob.add_coeff(blk, v0 + 1, off + 2, off + 2, -1.0)
-            prob.add_coeff(blk, v0 + 2, off + 0, off + 1, 1.0)
-            prob.add_coeff(blk, v0 + 3, off + 0, off + 2, 1.0)
-            prob.add_coeff(blk, v0 + 4, off + 1, off + 2, 1.0)
+            const.append((blk, off + 2, off + 2, 1.0))
+            coeffs += [(blk, off + r, off + cc, v0 + v, x) for r, cc, v, x in (
+                (0, 0, 0, 1.0), (2, 2, 0, -1.0), (1, 1, 1, 1.0), (2, 2, 1, -1.0),
+                (0, 1, 2, 1.0), (0, 2, 3, 1.0), (1, 2, 4, 1.0))]
 
     initial = np.zeros(nvars)
     initial[0] = -(float(np.linalg.norm(base, 2)) + 1.0)
     for i in range(3):
         initial[1 + 5 * i] = initial[2 + 5 * i] = 1.0 / 3.0
-    prob.initial_u = initial
-    prob.finalize()
+    prob = BlockSdp(block_dims=[9, 3, 3, 3], n_vars=nvars, c=c_obj, const=list(zip(*const)),
+                    coeffs=list(zip(*coeffs)), initial_u=initial)
     res = InteriorPointSolver(SolverOptions(tol=1e-9, max_iter=100)).solve(prob)
     margin = -res.obj  # optimal s
     return CmcResult(feasible=margin >= -tol, margin=float(margin), status=res.status)

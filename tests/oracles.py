@@ -127,26 +127,85 @@ def entangled_state_dataset(n: int, seed, min_lambda=1e-3):
 
 def single_block_problem(layout):
     """The program of ``assemble_primal`` with Gamma solved as one dense block,
-    its reduced form assembled straight from the layout's solver-basis entry
-    expressions."""
+    its reduced form assembled straight from the layout's solver-basis term
+    arrays."""
     from sepcert.sdpcore import BlockSdp
 
     problem = sc.assemble_primal(layout)
     d = layout.solver_dim
     split = problem.reduced
-    one = BlockSdp(block_dims=[1, d], n_vars=split.n_vars, c=split.c,
-                   initial_u=split.initial_u)
-    one.add_coeff(0, 0, 0, 0, 1.0)
-    for (r, c), expr in sorted(layout.solver_exprs.items()):
-        if expr.const:
-            one.add_const(1, r, c, expr.const)
-        for _, slot, coeff in expr.data:
-            one.add_const(1, r, c, coeff * layout.values[slot])
-            one.add_coeff(1, 0, r, c, -coeff * layout.values[slot])
-        for var, coeff in expr.vars:
-            one.add_coeff(1, 1 + var, r, c, coeff)
-    return dataclasses.replace(problem, reduced=one.finalize(),
-                               gamma_blocks=[list(range(d))])
+    c_row, c_col, c_val = layout.const_terms
+    d_row, d_col, slot, coeff = layout.data_terms
+    v_row, v_col, var, v_coeff = layout.var_terms
+    data = coeff * np.asarray(layout.values)[slot]
+    const = ([1] * (len(c_row) + len(d_row)), np.r_[c_row, d_row], np.r_[c_col, d_col],
+             np.r_[c_val, data])
+    coeffs = (np.r_[0, [1] * (len(d_row) + len(v_row))], np.r_[0, d_row, v_row],
+              np.r_[0, d_col, v_col], np.r_[0, [0] * len(d_row), 1 + var],
+              np.r_[1.0, -data, v_coeff])
+    one = BlockSdp(block_dims=[1, d], n_vars=split.n_vars, c=split.c, const=const,
+                   coeffs=coeffs, initial_u=split.initial_u)
+    return dataclasses.replace(problem, reduced=one, gamma_blocks=[list(range(d))])
+
+
+def entrywise_program(layout):
+    """F0, F_lambda and the F of every free moment over the solver basis,
+    dense, added entry by entry from the layout's term arrays: the loop
+    that ``assemble_primal`` replaces with whole-array operations."""
+    d, values = layout.solver_dim, layout.values
+    f = np.zeros((2 + layout.free_var_count, d, d))
+
+    def add(k, r, c, v):
+        f[k, r, c] += v
+        if r != c:
+            f[k, c, r] += v
+
+    for r, c, v in zip(*layout.const_terms):
+        add(0, r, c, v)
+    for r, c, slot, coeff in zip(*layout.data_terms):
+        add(0, r, c, coeff * values[slot])
+        add(1, r, c, -coeff * values[slot])
+    for r, c, var, coeff in zip(*layout.var_terms):
+        add(2 + var, r, c, coeff)
+    return f
+
+
+def entrywise_multipliers(layout, z):
+    """w_data and w.C read off the solver-basis matrix z one data term at a
+    time, in the terms' order: the loop that ``_extract_multipliers``
+    replaces with one bincount."""
+    w_data, c_data = {}, {}
+    for r, c, slot, coeff in zip(*layout.data_terms):
+        label = layout.labels[slot]
+        w_data[label] = w_data.get(label, 0.0) - 2.0 * coeff * z[r][c]
+        c_data[label] = layout.values[slot]
+    return w_data, float(np.dot(list(w_data.values()), list(c_data.values())))
+
+
+def union_find_components(dim, edges):
+    """Connected components of the graph on range(dim), each a sorted index
+    list, ordered by their smallest index (union-find rooted at the minimum)."""
+    root = list(range(dim))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for r, c in edges:
+        a, b = find(r), find(c)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(dim):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def entry_positions(layout):
+    """Every full-basis position (r, c), r <= c, with its entry kind."""
+    return [((r, c), layout.kind(r, c)) for r in range(layout.dim) for c in range(r, layout.dim)]
 
 
 DataRow = collections.namedtuple("DataRow", "label position value")
@@ -168,11 +227,9 @@ def standard_form_rows(layout):
     basis = layout.basis
     monos = basis.monomials
     index = basis.index()
-    values = {label: layout.values[slot] for expr in layout.solver_exprs.values()
-              for label, slot, _ in expr.data}
+    values = dict(zip(layout.labels, layout.values))
     data_rows = [DataRow(kind.label, pos, values[kind.label])
-                 for pos, kind in sorted(layout.entry_kind.items())
-                 if isinstance(kind, sc.Data)]
+                 for pos, kind in entry_positions(layout) if isinstance(kind, sc.Data)]
     pauli_rows = [PauliRow("unit", (((0, 0), 1.0),), 1.0)]
     for i in range(layout.n_sites):
         diag = [index[sc.Monomial.single(i, a)] for a in range(3)]
@@ -194,7 +251,7 @@ def standard_form_rows(layout):
         for c in range(r, len(monos)):
             positions.setdefault(monos[r] * monos[c], []).append((r, c))
     for pos in positions.values():
-        if len(pos) > 1 and isinstance(layout.entry_kind[pos[0]], sc.FreeVar):
+        if len(pos) > 1 and isinstance(layout.kind(*pos[0]), sc.FreeVar):
             pauli_rows.extend(PauliRow("tie", ((pos[0], 1.0), (p, -1.0)), 0.0)
                               for p in pos[1:])
     return data_rows, pauli_rows
@@ -257,7 +314,7 @@ def moment_completion(layout, ds, moment_fn):
         return float(np.mean(vals))
 
     gamma = np.zeros((layout.dim, layout.dim))
-    for (r, c), kind in layout.entry_kind.items():
+    for (r, c), kind in entry_positions(layout):
         if isinstance(kind, sc.Constant):
             v = kind.value
         elif isinstance(kind, sc.Data):

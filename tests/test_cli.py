@@ -263,14 +263,36 @@ def test_rerun_determinism(tmp_path):
     ["oracle", "product-search", "w.json", "--n", 2, "--restarts", -3],
     ["sweep", "quench-1d", "--n", 6, "--grid", 1, "--workers", 0],
     ["sweep", "thermal", "--model", "ising", "--n", 4, "--grid", 1, "--workers", -3],
+    ["certify", "d.json", "--tol", "nan"],
+    ["certify", "d.json", "--tol", "inf"],
+    ["sweep", "quench-1d", "--n", 6, "--grid", 1, "--tol", "nan"],
 ], ids=["missing-lambda", "generate-level", "sweep-scheme", "witness-eval-tol",
         "certify-tol-zero", "certify-max-iter-zero", "sweep-tol-zero",
         "sweep-max-iter-zero", "oracle-restarts-zero", "oracle-restarts-negative",
-        "sweep-workers-zero", "sweep-workers-negative"])
+        "sweep-workers-zero", "sweep-workers-negative", "certify-tol-nan",
+        "certify-tol-inf", "sweep-tol-nan"])
 def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("temp", ["nan", "inf"])
+def test_generate_thermal_rejects_non_finite_temperature(tmp_path, capsys, temp):
+    argv = ["generate", "thermal", "--model", "ising", "--n", 4, "--temp", temp,
+            "--out", tmp_path]
+    assert run(argv) == 2
+    assert "temperature must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    certify = parser.parse_args(["certify", "d.json"])
+    assert (certify.tol, certify.max_iter) == (sc.SolverOptions().tol,
+                                               sc.SolverOptions().max_iter)
+    search = parser.parse_args(["oracle", "product-search", "w.json", "--n", "2"])
+    assert search.restarts == sc.seporacle.DEFAULT_RESTARTS
 
 
 def test_entry_point_help(capsys):

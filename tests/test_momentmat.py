@@ -22,8 +22,8 @@ from sepcert.momentmat import (Constant, Data, FreeVar, GENERAL_SCHEME,
                                reduce_monomial, select_scheme)
 from sepcert.seporacle import make_rng
 
-from oracles import (group_average, group_mismatch, mixture_moment, moment_completion,
-                     random_state_dataset, standard_form_rows)
+from oracles import (entry_positions, group_average, group_mismatch, mixture_moment,
+                     moment_completion, random_state_dataset, standard_form_rows)
 
 
 # -- monomials and bases ----------------------------------------------------------
@@ -187,13 +187,13 @@ def test_layout_dimensions():
         assert layout_for(ds).dim == 3 * n + 1
 
 
-def test_layout_entry_kinds_werner():
+def test_layout_kinds_werner():
     lay = layout_for(sc.werner_dataset(0.3))
     assert lay.kind(0, 0) == Constant(1.0)
     # diagonals are pinned constants 1/3 under the rotation-invariant scheme
     assert lay.kind(1, 1) == Constant(1.0 / 3.0)
     # the three data entries sit at same-axis cross-site positions
-    data_positions = [(r, c) for (r, c), k in lay.entry_kind.items() if isinstance(k, Data)]
+    data_positions = [pos for pos, k in entry_positions(lay) if isinstance(k, Data)]
     assert len(data_positions) == 3
     # symmetric access
     r, c = data_positions[0]
@@ -221,7 +221,7 @@ def test_layout_pauli_rows_reference_entries():
         _, pauli_rows = standard_form_rows(lay)
         for row in pauli_rows:
             for (r, c), coeff in row.entries:
-                assert (min(r, c), max(r, c)) in lay.entry_kind
+                assert 0 <= min(r, c) and max(r, c) < lay.dim
         site_rows = [row for row in pauli_rows if row.tag == "site"]
         assert len(site_rows) == 3
         assert all(row.rhs == 1.0 for row in site_rows)
@@ -294,14 +294,18 @@ def same_shape_datasets(draw):
     return out
 
 
+def plain(value):
+    """A field's value for ==, every array as its dtype and its entries."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.tolist()
+    if isinstance(value, tuple):
+        return [plain(v) for v in value]
+    return value
+
+
 def assert_same_layout(got, want):
     for f in dataclasses.fields(MomentMatrixLayout):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name in ("entry_kind", "solver_exprs"):  # equal in order too
-            a, b = list(a.items()), list(b.items())
-        elif f.name == "group_actions":  # (index, sign) arrays per element
-            a, b = ([(tgt.tolist(), sgn.tolist()) for tgt, sgn in v] for v in (a, b))
-        assert a == b, f.name
+        assert plain(getattr(got, f.name)) == plain(getattr(want, f.name)), f.name
 
 
 @settings(max_examples=40)
@@ -341,14 +345,13 @@ def test_cache_hit_is_the_template_with_its_values():
     (template, _), = momentmat._templates.values()
     assert template.values == ()
     for layout, ds in zip(layouts, datasets):
-        assert layout.entry_kind is template.entry_kind
-        assert layout.solver_exprs is template.solver_exprs
+        assert layout.kind_code is template.kind_code
+        assert layout.data_terms is template.data_terms
         # one-body correlators, then two-body ones, in the dataset's order
         assert layout.values == tuple([v for _, v in ds.one_items()]
                                       + [v for _, v in ds.two_items()])
-        for expr in layout.solver_exprs.values():
-            for label, slot, _ in expr.data:
-                assert layout.values[slot] == ds.value(label)
+        for slot in layout.data_terms[2]:
+            assert layout.values[slot] == ds.value(layout.labels[slot])
     first, second = layouts
     for f in dataclasses.fields(MomentMatrixLayout):
         if f.name != "values":
@@ -399,8 +402,9 @@ def test_layout_cache_under_concurrent_callers(monkeypatch):
         for k in range(3 * len(datasets)):
             i = (k + offset) % len(datasets)
             got = layout_for(datasets[i])
-            if list(got.solver_exprs.items()) != list(want[i].solver_exprs.items()) \
-                    or got.entry_kind != want[i].entry_kind or got.values != want[i].values:
+            try:
+                assert_same_layout(got, want[i])
+            except AssertionError:
                 errors.append(i)
 
     interval = sys.getswitchinterval()

@@ -170,6 +170,19 @@ def test_thermal_dataset_matches_dense_oracle(kind, n, g, log_t):
                 assert ds.two(i, j, "X", "X") == ds.two(i, j, "Y", "Y") == ds.two(i, j, "Z", "Z")
 
 
+def test_state_dataset_rejects_non_density():
+    half = np.zeros((8, 8))
+    half[0, 0] = 0.5
+    skew = np.eye(8) / 8
+    skew[0, 1] = 0.4
+    for rho in (half, skew, np.ones((8, 4)) / 4):
+        with pytest.raises(NotDensity):
+            sc.state_dataset(rho)
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 1], rho[1, 0] = 0.05 + 0.1j, 0.05 - 0.1j
+    assert sc.state_dataset(rho).one(2, "X") == 0.1  # a density matrix
+
+
 def test_thermal_odd_y_exact_zero():
     ds = sc.thermal_dataset_ed(sc.ModelSpec(kind="ising", n=4, g=0.6), 0.4)
     odd = [v for (_, a), v in ds.one_items() if a is sc.PauliAxis.Y]
@@ -213,19 +226,56 @@ def test_thermal_dataset_matches_sector_oracle(kind, n):
         want = {**dict(ref.one_items()), **dict(ref.two_items())}
         assert got.keys() == want.keys()
         assert max(abs(got[k] - want[k]) for k in got) <= 1e-12
-        zeros = {k for k, v in got.items() if v == 0.0}
-        ref_zeros = {k for k, v in want.items() if v == 0.0}
-        # The flip-sector oracle leaves rounding of up to 4.3e-13 on <X_i>,
-        # which S^z conservation holds at zero, in the degenerate odd-n
-        # Heisenberg ground state at T = 1e-3, and so breaks the X flip that
-        # the rotation-invariant scheme needs; every other zero is shared.
-        assert ref_zeros <= zeros
-        if zeros == ref_zeros:
-            assert sc.select_scheme(ds) == sc.select_scheme(ref)
-        else:
-            assert kind == "heisenberg" and n % 2 and temp == 1e-3
-            assert all(_u1_odd(k) for k in zeros - ref_zeros)
-            assert sc.select_scheme(ds).kind is SchemeKind.ROTATION_INVARIANT
+        # The exact zeros are the model's forced ones.  The flip-sector
+        # oracle leaves rounding of up to 4.3e-13 on some of them (<X_i> in
+        # the degenerate odd-n Heisenberg ground state at T = 1e-3), which
+        # breaks the schemes they carry, so the oracle's scheme is read with
+        # the forced strings at zero.
+        forced = {k for k in got if _forced_zero(kind, 1.0, k)}
+        assert {k for k, v in got.items() if v == 0.0} == forced
+        ref = sc.CorrelationDataset(n, *({k: 0.0 if k in forced else v for k, v in items}
+                                         for items in (ref.one_items(), ref.two_items())))
+        assert sc.select_scheme(ds) == sc.select_scheme(ref)
+
+
+def _forced_zero(kind, g, key):
+    """Whether the model holds the correlator at zero: an odd number of Y or
+    of Z factors (odd under the global flip, or imaginary for a real state);
+    for Heisenberg also one-body and cross-axis strings; for Ising at g = 0
+    every string with an X or Y factor."""
+    axes = key[len(key) // 2:]
+    if axes.count(sc.PauliAxis.Y) % 2 or axes.count(sc.PauliAxis.Z) % 2:
+        return True
+    if kind == "heisenberg":
+        return len(axes) == 1 or axes[0] is not axes[1]
+    return g == 0 and any(a is not sc.PauliAxis.Z for a in axes)
+
+
+# select_scheme of the thermal datasets, one per model and field strength
+_THERMAL_SCHEMES = {
+    "heisenberg": lambda g: sc.SymmetryScheme(SchemeKind.ROTATION_INVARIANT,
+                                              frozenset({0, 1, 2}), ((0, 1, 2),)),
+    "ising": lambda g: (sc.SymmetryScheme(SchemeKind.TRANSVERSE_SYMMETRIC, frozenset({0, 1, 2}),
+                                          ((0, 1), (2,))) if g == 0 else
+                        sc.SymmetryScheme(SchemeKind.AXIS_DIAGONAL, frozenset({1, 2}))),
+}
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "ising"])
+@pytest.mark.parametrize("g", [0.0, 0.37, 1.0])
+def test_thermal_forced_zeros_are_exact(kind, g):
+    for n in range(5, 11):
+        for temp in (1e-3, 0.3, 5.0):
+            ds = sc.thermal_dataset_ed(sc.ModelSpec(kind=kind, n=n, g=g), temp)
+            values = {**dict(ds.one_items()), **dict(ds.two_items())}
+            assert all(values[k] == 0.0 for k in values if _forced_zero(kind, g, k)), (n, temp)
+            assert sc.select_scheme(ds) == _THERMAL_SCHEMES[kind](g), (n, temp)
+
+
+@pytest.mark.parametrize("temp", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_thermal_temperature_must_be_finite_and_positive(temp):
+    with pytest.raises(BadNoiseLevel):
+        sc.thermal_dataset_ed(sc.ModelSpec(kind="ising", n=4, g=1.0), temp)
 
 
 @pytest.mark.parametrize("kind, n", [("heisenberg", 7), ("heisenberg", 10),

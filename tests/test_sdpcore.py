@@ -22,9 +22,10 @@ from sepcert.sdpcore import (SCHUR_CHUNK_DOUBLES, BlockSdp, InteriorPointSolver,
 from sepcert.seporacle import make_rng
 
 from oracles import (OPENBLAS_SETTERS, blas_thread_counts, certificate_matrix, dense_schur,
-                     drop_entries, entangled_state_dataset, group_average,
-                     lstsq_label_coefficients, random_state_dataset, single_block_problem,
-                     standard_form_rows, standard_form_slack)
+                     drop_entries, entangled_state_dataset, entrywise_multipliers,
+                     entrywise_program, group_average, lstsq_label_coefficients,
+                     random_state_dataset, single_block_problem, standard_form_rows,
+                     standard_form_slack, union_find_components)
 
 needs_openblas_setter = pytest.mark.skipif(
     not OPENBLAS_SETTERS, reason="no OpenBLAS exposes openblas_set_num_threads_local")
@@ -93,6 +94,32 @@ def test_assemble_werner_constraints():
     assert prob.reduced.n_vars == 1  # no free unknowns beyond the noise variable
 
 
+def test_assembly_and_multipliers_match_entrywise_reference():
+    ds3 = random_state_dataset(3, 601)
+    layouts = [layout_for(sc.werner_dataset(0.3)),
+               layout_for(sc.quench_dataset(sc.quench_amplitudes(8, 2.0))),
+               layout_for(sc.dataset_of(sc.random_product_state(4, 1))),
+               layout_for(ds3, level=2),
+               layout_for(drop_entries(ds3, 0.3, 7), extras=[((0, 0), (1, 1), (2, 2))])]
+    rng = make_rng(3)
+    for layout in layouts:
+        prob = assemble_primal(layout)
+        want = entrywise_program(layout)
+        for k in range(prob.reduced.n_vars + 1):  # F0, then each variable's F_t
+            if k == 0:
+                blocks = prob.reduced.f0
+            else:
+                blocks = prob.reduced.apply_at(np.eye(prob.reduced.n_vars)[k - 1])
+            blocks = prob.reduced.unpack(blocks)
+            assert blocks[0].tolist() == [[float(k == 1)]]  # the scalar block holds lambda
+            assert np.array_equal(prob.solver_gamma(blocks), want[k])
+        z = rng.normal(size=(layout.solver_dim, layout.solver_dim))
+        w_data, w_dot_c = sdpcore._extract_multipliers(layout, z)
+        want_w, want_dot = entrywise_multipliers(layout, z)
+        assert list(w_data.items()) == list(want_w.items())  # values and key order
+        assert w_dot_c == want_dot
+
+
 def test_gamma_splits_into_connected_blocks():
     cases = [
         (layout_for(sc.quench_dataset(sc.quench_amplitudes(32, 4.0))), [1, 33, 32, 32]),
@@ -106,9 +133,20 @@ def test_gamma_splits_into_connected_blocks():
         assert sorted(i for idx in prob.gamma_blocks for i in idx) == list(
             range(layout.solver_dim))
         block_of = {i: b for b, idx in enumerate(prob.gamma_blocks) for i in idx}
-        for (r, c), expr in layout.solver_exprs.items():
-            if expr.const or expr.data or expr.vars:
-                assert block_of[r] == block_of[c], (r, c)
+        for r, c in zip(*(np.concatenate(cols) for cols in zip(
+                *(terms[:2] for terms in (layout.const_terms, layout.data_terms,
+                                          layout.var_terms))))):
+            assert block_of[r] == block_of[c], (r, c)
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(1, 40), data=st.data())
+def test_components_match_union_find(dim, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                               max_size=2 * dim), label="edges")
+    rows, cols = (np.array([e[k] for e in edges], dtype=np.intp) for k in (0, 1))
+    got = sdpcore._components(dim, rows, cols)
+    assert [idx.tolist() for idx in got] == union_find_components(dim, edges)
 
 
 def test_split_solve_matches_single_block():
@@ -201,17 +239,18 @@ def test_schur_matches_dense_oracle(monkeypatch):
 
 
 def random_block_sdp(dims, calls, seed):
-    """A BlockSdp whose variable t gets calls[b][t] add_coeff calls in block b
-    (0 leaves it out of the block), at positions drawn from a pool half that
+    """A BlockSdp whose variable t gets calls[b][t] entries in block b (0
+    leaves it out of the block), at positions drawn from a pool half that
     size so that (r, c) pairs repeat."""
     rng = make_rng(seed)
-    prob = BlockSdp(block_dims=dims, n_vars=len(calls[0]), c=np.zeros(len(calls[0])))
+    coeffs = []
     for b, d in enumerate(dims):
         for t, k in enumerate(calls[b]):
             pool = rng.integers(0, d, size=(max(1, k // 2), 2))
             for r, c in pool[rng.integers(0, len(pool), size=k)]:
-                prob.add_coeff(b, t, int(r), int(c), rng.uniform(-2.0, 2.0))
-    return prob.finalize()
+                coeffs.append((b, int(r), int(c), t, rng.uniform(-2.0, 2.0)))
+    return BlockSdp(block_dims=dims, n_vars=len(calls[0]), c=np.zeros(len(calls[0])),
+                    const=([], [], [], []), coeffs=list(zip(*coeffs)) or ([],) * 5)
 
 
 @st.composite
@@ -308,12 +347,15 @@ def test_monotonicity_under_data_removal(n, seed, frac):
     assert sol2.lambda_star <= sol.lambda_star + 1e-7
 
 
-def test_hierarchy_monotone_small():
-    for seed in (0, 1, 2):
-        ds, sol1, _ = entangled_state_dataset(3, 200 + seed)
-        sol2, _ = sc.certify(ds, level=2)
-        assert sol2.status is SdpStatus.OPTIMAL
-        assert sol2.lambda_star >= sol1.lambda_star - 1e-7
+@settings(max_examples=8)
+@given(seed=st.integers(0, 10 ** 6), frac=st.floats(0.0, 0.5))
+def test_hierarchy_monotone_small(seed, frac):
+    ds = drop_entries(random_state_dataset(3, seed), frac, seed + 1)
+    sol1, _ = sc.certify(ds)
+    sol2, _ = sc.certify(ds, level=2)
+    assert sol1.status is sol2.status is SdpStatus.OPTIMAL
+    assert sol2.lambda_star >= sol1.lambda_star - 1e-7
+    if sol2.entangled:
         assert abs(sol2.w_dot_c - 1.0) <= 1e-5
 
 
@@ -403,13 +445,20 @@ def test_auto_scheme_matches_general_on_generated_data(n, seed, scheme, drop):
     assert abs(auto.lambda_star - gen.lambda_star) <= 1e-6
 
 
-def test_noise_scaling_shifts_lambda():
-    # lambda*((1-mu) C) = (lambda* - mu) / (1 - mu) for mu below lambda*
-    sol0, _ = sc.certify(sc.werner_dataset(0.0))
-    mu = 0.25
-    sol1, _ = sc.certify(sc.werner_dataset(0.0).scale_noise(mu))
-    expect = (sol0.lambda_star - mu) / (1.0 - mu)
-    assert abs(sol1.lambda_star - expect) <= 1e-6
+@settings(max_examples=20)
+@given(n=st.integers(2, 4), seed=st.integers(0, 10 ** 6), frac=st.floats(0.0, 0.6),
+       above=st.booleans(), t=st.floats(0.0, 0.9))
+def test_noise_scaling_shifts_lambda(n, seed, frac, above, t):
+    # (1 - lambda)(1 - mu) C is compatible exactly when (1 - lambda*) C is,
+    # so lambda*((1 - mu) C) = max(0, 1 - (1 - lambda*) / (1 - mu)), with
+    # mu drawn below or above lambda*
+    ds = drop_entries(random_state_dataset(n, seed), frac, seed + 1)
+    sol0, _ = sc.certify(ds)
+    lam = sol0.lambda_star
+    mu = lam + t * (1.0 - lam) if above else t * lam
+    sol1, _ = sc.certify(ds.scale_noise(mu))
+    assert sol0.status is sol1.status is SdpStatus.OPTIMAL
+    assert abs(sol1.lambda_star - max(0.0, 1.0 - (1.0 - lam) / (1.0 - mu))) <= 1e-6
 
 
 def test_extract_witness_not_entangled():
@@ -496,11 +545,9 @@ def test_solution_reports_final_infeasibilities():
 def test_non_finite_data_end_as_numerical_trouble():
     # The solver's LAPACK calls do not reject NaN or inf; the finiteness test
     # on each iteration's mu and residuals has to stop the solve.
-    prob = BlockSdp(block_dims=[2], n_vars=1, c=[1.0])
-    prob.add_const(0, 0, 0, 1.0)
-    prob.add_const(0, 0, 1, np.nan)
-    prob.add_coeff(0, 0, 0, 0, 1.0)
-    prob.add_coeff(0, 0, 1, 1, 1.0)
+    prob = BlockSdp(block_dims=[2], n_vars=1, c=[1.0],
+                    const=([0, 0], [0, 0], [0, 1], [1.0, np.nan]),
+                    coeffs=([0, 0], [0, 1], [0, 1], [0, 0], [1.0, 1.0]))
     res = InteriorPointSolver().solve(prob, keep_trace=True)
     assert res.status is SdpStatus.NUMERICAL_TROUBLE
     assert res.iterations <= 2
@@ -523,8 +570,9 @@ def test_indefinite_initial_point_falls_back_to_default_start():
 
 
 def test_bad_solver_options():
-    with pytest.raises(ValueError):
-        sc.SolverOptions(tol=0.0)
+    for tol in (0.0, -1e-8, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sc.SolverOptions(tol=tol)
 
 
 def test_lambda_star_range():
