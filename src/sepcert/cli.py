@@ -69,6 +69,16 @@ def _positive(kind):
     return parse
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names the type in its messages
+
+
 def _solver_flags(parser):
     parser.add_argument("--tol", type=_positive(float), default=SolverOptions.tol,
                         help="solver gap/feasibility tolerance")
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_thermal.add_argument("--model", choices=("heisenberg", "ising"), required=True)
     g_thermal.add_argument("--n", type=int, required=True)
     g_thermal.add_argument("--temp", type=float, required=True)
-    g_thermal.add_argument("--g", type=float, default=0.0, help="transverse field (ising)")
+    g_thermal.add_argument("--g", type=_finite, default=0.0, help="transverse field (ising)")
     g_product = gen_sub.add_parser("product-random", help="random product state")
     g_product.add_argument("--n", type=int, required=True)
     _seed_flag(g_product)
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_thermal.add_argument("--model", choices=("heisenberg", "ising"), required=True)
     s_thermal.add_argument("--n", type=int, required=True)
     s_thermal.add_argument("--grid", required=True, help="comma-separated temperatures")
-    s_thermal.add_argument("--g", type=float, default=0.0)
+    s_thermal.add_argument("--g", type=_finite, default=0.0)
     for p in (s_quench, s_thermal):
         p.add_argument("--workers", type=_positive(int), default=min(4, os.cpu_count() or 1))
         _out_flag(p)

@@ -10,6 +10,8 @@ factors, and two-qubit concurrence diagnostics.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +46,17 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
-        if self.n < 2:
-            raise BadKey(f"chain length must be >= 2, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise BadKey(f"chain length must be an integer >= 2, got {self.n!r}")
         if self.n > ED_SITE_CAP:
             raise TooLarge(f"exact diagonalization capped at n <= {ED_SITE_CAP}, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
+        for name in ("g", "J"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise BadKey(f"{name} must be a finite number, got {value!r}")
+            # the spec keys the kept spectrum: equal specs give equal arrays
+            object.__setattr__(self, name, float(value) + 0.0)  # -0.0 as 0.0
 
 
 # -- Werner pair -------------------------------------------------------------
@@ -221,10 +230,60 @@ def _orbits(n: int):
     return orbit, first % n, first // n, 2 * n // stab.sum(axis=0), reps, stab
 
 
+@dataclass(frozen=True)
+class _Spectrum:
+    """Everything of one model's Gibbs states that does not depend on the
+    temperature, built by ``_build_spectrum`` and kept by ``_spectrum``:
+
+    - ``strings``: per computed correlator string, its key (r, a, b), the
+      factor i^(number of Y factors) (+-1: odd counts are forced zeros),
+      its real stand-in's values and the row of its flip mask;
+    - ``phase``: the character values exp(i pi e / n), e = 0..2n-1;
+    - ``sectors``: per diagonalized character, its weight (1 for a real
+      character, 2 for a complex one standing in for its conjugate too), the
+      eigenpairs of its blocks as (lo, hi, evals - e0, evecs) with e0 the
+      ground-state energy, the flat index of rho[x ^ f, x]'s entry in the
+      character's (d + 1) x (d + 1) Gibbs block (row and column d, zero,
+      for the orbits outside the character) and the exponent e of its
+      phase conj(chi(g_u)) chi(g_v);
+    - ``u1_zero``: the entries S^z conservation holds at zero (Heisenberg);
+    - ``w_u``, ``w_x``: the orbit-size weights of the row and the column.
+
+    Every array is read-only, so concurrent readers may share one.
+    """
+
+    spec: ModelSpec
+    strings: tuple
+    phase: np.ndarray
+    sectors: tuple
+    u1_zero: np.ndarray | None
+    w_u: np.ndarray
+    w_x: np.ndarray
+
+
+_kept_spectrum = None  # replaced whole, so a caller keeps the one it read
+
+
+def _spectrum(spec: ModelSpec) -> _Spectrum:
+    """The model's temperature-independent part, kept for the most recent
+    model: a sweep over temperature diagonalizes once."""
+    global _kept_spectrum
+    kept = _kept_spectrum
+    if kept is None or kept.spec != spec:
+        kept = _kept_spectrum = _build_spectrum(spec)
+    return kept
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @single_blas_thread()
-def _gibbs_flips(spec: ModelSpec, temperature: float, flips: np.ndarray) -> np.ndarray:
-    """rho[x ^ f, x] of the Gibbs state exp(-H/T)/Z for every flip mask f in
-    ``flips`` and every basis state x, as a (len(flips), 2^n) real array.
+def _build_spectrum(spec: ModelSpec) -> _Spectrum:
+    """Diagonalize H per character of its symmetry group and lay out the
+    gathers of the Gibbs state entries rho[x ^ f, x] that ``_gibbs_flips``
+    reads off at each temperature.
 
     H commutes with the group G of ``_orbits``, so it is block diagonal over
     the characters chi(T^m P^s) = exp(2 pi i k m / n) p^s of G.  A
@@ -242,19 +301,25 @@ def _gibbs_flips(spec: ModelSpec, temperature: float, flips: np.ndarray) -> np.n
     diagonalized (12 and 62 blocks at n = 10), and the other momenta enter
     as the conjugates of their contributions.
 
-    With R_chi = V diag(w) V^dagger per block, w the Boltzmann weights over
-    the whole spectrum,
-        rho[u, v] = sum_chi R_chi[a_u, a_v] conj(chi(g_u)) chi(g_v) / sqrt(O_u O_v),
-    gathered for u = x ^ f and v = x, so no 2^n x 2^n array is formed.
-    Temperatures below the 1e-3 floor are raised to it, standing in for the
-    T -> 0 limit without ground-state degeneracy branches.
+    The strings are those of ``thermal_dataset_ed``: <P_0^a> and
+    <P_0^a P_r^b> for r <= n/2 (one order of the axes at r = n/2), less
+    the ones the model holds at zero (see ``_forced_zero``).
     """
-    if not (temperature > 0 and np.isfinite(temperature)):
-        raise BadNoiseLevel(f"temperature must be finite and > 0, got {temperature}")
-    T = max(float(temperature), ED_TEMPERATURE_FLOOR)
     n = spec.n
+    signs = _site_signs(n)
+    strings = {(0, a, a): {0: a} for a in AXES}
+    strings.update({(r, a, b): {0: a, r: b} for r in range(1, n // 2 + 1)
+                    for a in AXES for b in AXES if 2 * r < n or a <= b})
+    strings = {key: factors for key, factors in strings.items()
+               if not _forced_zero(spec, list(factors.values()))}
+    rows = [_string_rows(n, factors, signs) for factors in strings.values()]
+    flips, which = np.unique([cols[0] for cols, _ in rows], return_inverse=True)
+    table = tuple((key, (1, 1j, -1)[sum(a is PauliAxis.Y for a in factors.values())],
+                   _frozen(vals), f)
+                  for (key, factors), (_, vals), f in zip(strings.items(), rows, which))
+
     orbit, shift, flip, size, reps, stab = _orbits(n)
-    down = (_site_signs(n) < 0).sum(axis=0)
+    down = (signs < 0).sum(axis=0)
     heisenberg = spec.kind is ModelKind.HEISENBERG
     cls = np.minimum(down, n - down)[reps] if heisenberg else np.zeros(len(reps), dtype=int)
     # chi(g) = phase[e] with e = 2 k m + n s [p = -1] mod 2n; exact at +-1
@@ -268,8 +333,10 @@ def _gibbs_flips(spec: ModelSpec, temperature: float, flips: np.ndarray) -> np.n
     col_b, y = cols.row, cols.col
     row_a = orbit[y]
     amp = cols.data * np.sqrt(size[col_b] / size[row_a])
+    x = np.arange(1 << n)
+    u = x ^ flips[:, None]
 
-    sectors = []    # (k, q, position of each orbit in the block or -1, eigenpairs)
+    blocks = []     # (k, q, position of each orbit in the block or d, eigenpairs)
     for k in range(n // 2 + 1):
         for q in (0, 1):
             fits = ~(((2 * k * g_m + n * q * g_s) % (2 * n) != 0)[:, None] & stab).any(axis=0)
@@ -287,27 +354,52 @@ def _gibbs_flips(spec: ModelSpec, temperature: float, flips: np.ndarray) -> np.n
                 mat = mat.real
             c = cls[members]
             edges = np.concatenate([[0], np.flatnonzero(np.diff(c)) + 1, [len(c)]])
-            sectors.append((k, q, pos, [(lo, hi, *np.linalg.eigh(mat[lo:hi, lo:hi]))
-                                        for lo, hi in zip(edges[:-1], edges[1:])]))
+            pos[pos < 0] = len(members)  # the zero row and column of the Gibbs block
+            blocks.append((k, q, pos, [(lo, hi, *np.linalg.eigh(mat[lo:hi, lo:hi]))
+                                       for lo, hi in zip(edges[:-1], edges[1:])]))
 
-    e0 = min(evals[0] for *_, eigs in sectors for _, _, evals, _ in eigs)
-    z = sum((1 if 2 * k % n == 0 else 2) * np.exp(-(evals - e0) / T).sum()
-            for k, _, _, eigs in sectors for _, _, evals, _ in eigs)
-    x = np.arange(1 << n)
-    u = x ^ flips[:, None]
-    out = np.zeros(u.shape)
-    for k, q, pos, eigs in sectors:
-        d = len(pos[pos >= 0])
-        r = np.zeros((d + 1, d + 1), dtype=eigs[0][3].dtype)  # index -1: row and column d, zero
-        for lo, hi, evals, evecs in eigs:
-            r[lo:hi, lo:hi] = (evecs * (np.exp(-(evals - e0) / T) / z)) @ evecs.conj().T
+    e0 = min(evals[0] for *_, eigs in blocks for _, _, evals, _ in eigs)
+    sectors = []
+    for k, q, pos, eigs in blocks:
         e = (-2 * k * shift + n * q * flip) % (2 * n)
-        term = np.real(r[pos[orbit[u]], pos[orbit[x]]] * phase[(e[x] - e[u]) % (2 * n)])
-        out += term if 2 * k % n == 0 else 2.0 * term
-    if heisenberg:  # S^z is conserved; the pairing of c with n - c leaves rounding here
-        out[down[u] != down[x]] = 0.0
+        width = eigs[-1][1] + 1
+        gather = pos[orbit[u]] * width + pos[orbit[x]]
+        sectors.append((1 if 2 * k % n == 0 else 2,
+                        tuple((lo, hi, _frozen(evals - e0), _frozen(evecs))
+                              for lo, hi, evals, evecs in eigs),
+                        _frozen(gather.astype(np.min_scalar_type(width * width))),
+                        _frozen(((e[x] - e[u]) % (2 * n)).astype(np.int8))))
     w = 1.0 / np.sqrt(size[orbit])
-    return out * w[u] * w[x]
+    return _Spectrum(spec, table, _frozen(phase), tuple(sectors),
+                     _frozen(down[u] != down[x]) if heisenberg else None,
+                     _frozen(w[u]), _frozen(w))
+
+
+@single_blas_thread()
+def _gibbs_flips(spectrum: _Spectrum, temperature: float) -> np.ndarray:
+    """rho[x ^ f, x] of the Gibbs state exp(-H/T)/Z for every flip mask f of
+    the spectrum's strings and every basis state x, as a (flips, 2^n) real
+    array.
+
+    With R_chi = V diag(w) V^dagger per block, w the Boltzmann weights over
+    the whole spectrum,
+        rho[u, v] = sum_chi R_chi[a_u, a_v] conj(chi(g_u)) chi(g_v) / sqrt(O_u O_v),
+    gathered for u = x ^ f and v = x, so no 2^n x 2^n array is formed.
+    """
+    boltz = [[np.exp(-de / temperature) for _, _, de, _ in eigs]
+             for _, eigs, *_ in spectrum.sectors]
+    z = sum(weight * b.sum() for (weight, *_), bs in zip(spectrum.sectors, boltz) for b in bs)
+    out = np.zeros(spectrum.w_u.shape)
+    for (weight, eigs, gather, exps), bs in zip(spectrum.sectors, boltz):
+        d = eigs[-1][1]
+        r = np.zeros((d + 1, d + 1), dtype=eigs[0][3].dtype)  # row and column d: zero
+        for (lo, hi, _, evecs), b in zip(eigs, bs):
+            r[lo:hi, lo:hi] = (evecs * (b / z)) @ evecs.conj().T
+        term = np.real(np.take(r, gather) * np.take(spectrum.phase, exps))
+        out += term if weight == 1 else 2.0 * term
+    if spectrum.u1_zero is not None:  # the pairing of c with n - c leaves rounding here
+        out[spectrum.u1_zero] = 0.0
+    return out * spectrum.w_u * spectrum.w_x
 
 
 def _clean(v) -> float:
@@ -374,21 +466,20 @@ def thermal_dataset_ed(spec: ModelSpec, temperature: float) -> CorrelationDatase
     other value is kept as computed.  For the SU(2)-symmetric Heisenberg
     chain the three same-axis correlators are averaged to exact equality so
     the emitted dataset carries the model symmetry exactly.
+
+    The diagonalization and the string table depend on the model alone and
+    are kept for the most recent model (``_spectrum``), so only the read-off
+    runs per temperature.  Temperatures below the 1e-3 floor are raised to
+    it, standing in for the T -> 0 limit without ground-state degeneracy
+    branches.
     """
+    if not (temperature > 0 and np.isfinite(temperature)):
+        raise BadNoiseLevel(f"temperature must be finite and > 0, got {temperature}")
+    spectrum = _spectrum(spec)
+    rho = _gibbs_flips(spectrum, max(float(temperature), ED_TEMPERATURE_FLOOR))
+    value = {key: float(np.clip(np.real(sign * (vals @ rho[f])), -1.0, 1.0))
+             for key, sign, vals, f in spectrum.strings}
     n = spec.n
-    signs = _site_signs(n)
-    strings = {(0, a, a): {0: a} for a in AXES}
-    strings.update({(r, a, b): {0: a, r: b} for r in range(1, n // 2 + 1)
-                    for a in AXES for b in AXES if 2 * r < n or a <= b})
-    strings = {key: factors for key, factors in strings.items()
-               if not _forced_zero(spec, list(factors.values()))}
-    rows = [_string_rows(n, factors, signs) for factors in strings.values()]
-    flips, which = np.unique([cols[0] for cols, _ in rows], return_inverse=True)
-    rho = _gibbs_flips(spec, temperature, flips)
-    value = {}
-    for (key, factors), (_, vals), f in zip(strings.items(), rows, which):
-        n_y = sum(a is PauliAxis.Y for a in factors.values())  # even: i^n_y = +-1
-        value[key] = float(np.clip(np.real((1, 1j, -1)[n_y] * (vals @ rho[f])), -1.0, 1.0))
     if spec.kind is ModelKind.HEISENBERG:
         for r in range(1, n // 2 + 1):
             avg = float(np.mean([value[(r, a, a)] for a in AXES]))

@@ -266,11 +266,14 @@ def test_rerun_determinism(tmp_path):
     ["certify", "d.json", "--tol", "nan"],
     ["certify", "d.json", "--tol", "inf"],
     ["sweep", "quench-1d", "--n", 6, "--grid", 1, "--tol", "nan"],
+    ["generate", "thermal", "--model", "ising", "--n", 4, "--temp", 1, "--g", "nan"],
+    ["sweep", "thermal", "--model", "ising", "--n", 4, "--grid", 1, "--g", "inf"],
 ], ids=["missing-lambda", "generate-level", "sweep-scheme", "witness-eval-tol",
         "certify-tol-zero", "certify-max-iter-zero", "sweep-tol-zero",
         "sweep-max-iter-zero", "oracle-restarts-zero", "oracle-restarts-negative",
         "sweep-workers-zero", "sweep-workers-negative", "certify-tol-nan",
-        "certify-tol-inf", "sweep-tol-nan"])
+        "certify-tol-inf", "sweep-tol-nan", "generate-thermal-g-nan",
+        "sweep-thermal-g-inf"])
 def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)

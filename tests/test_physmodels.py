@@ -1,5 +1,8 @@
 """Physical dataset generators against exact-state and frozen oracles."""
 
+import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepcert as sc
+from sepcert import physmodels
 from sepcert.errors import BadKey, BadNoiseLevel, MissingData, NotDensity, TooLarge
 from sepcert.momentmat import SchemeKind
 from sepcert.seporacle import make_rng
@@ -204,9 +208,95 @@ def test_thermal_density_diagonalizes_on_one_blas_thread(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    sc.thermal_dataset_ed(sc.ModelSpec(kind="ising", n=6, g=1.0), 0.5)
+    monkeypatch.setattr(physmodels, "_kept_spectrum", None)
+    spec = sc.ModelSpec(kind="ising", n=6, g=1.0)
+    sc.thermal_dataset_ed(spec, 0.5)
     assert inside and all(c == [1] * len(OPENBLAS_SETTERS) for c in inside)
     assert blas_thread_counts() == before
+    # a second temperature of the same model reads the kept spectrum off
+    inside.clear()
+    sc.thermal_dataset_ed(spec, 2.0)
+    assert inside == []
+    assert blas_thread_counts() == before
+
+
+def _hex(ds):
+    return {k: v.hex() for k, v in [*ds.one_items(), *ds.two_items()]}
+
+
+def _cold(spec, temp):
+    physmodels._kept_spectrum = None
+    return sc.thermal_dataset_ed(spec, temp)
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(["heisenberg", "ising"]), n=st.integers(2, 8),
+       g=st.floats(0.0, 2.0), other_g=st.floats(0.0, 2.0), other_j=st.floats(0.25, 4.0),
+       log_t=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_kept_spectrum_reads_off_like_a_cold_build(kind, n, g, other_g, other_j, log_t):
+    t1, t2 = 10.0 ** np.array(log_t)
+    spec = sc.ModelSpec(kind=kind, n=n, g=g)
+    want = _hex(_cold(spec, t2))
+    sc.thermal_dataset_ed(spec, t1)
+    kept = physmodels._kept_spectrum
+    assert _hex(sc.thermal_dataset_ed(spec, t2)) == want
+    assert physmodels._kept_spectrum is kept
+    # specs that differ only in g or J never share a spectrum
+    for other in (dataclasses.replace(spec, g=other_g), dataclasses.replace(spec, J=other_j)):
+        if other == spec:
+            continue
+        want = _hex(_cold(other, t2))
+        sc.thermal_dataset_ed(spec, t1)
+        kept = physmodels._kept_spectrum
+        assert _hex(sc.thermal_dataset_ed(other, t2)) == want
+        assert physmodels._kept_spectrum is not kept
+        assert physmodels._kept_spectrum.spec == other
+
+
+def _arrays(value):
+    """Every array a kept spectrum holds, through its fields and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _arrays(v)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
+
+
+def test_kept_spectrum_under_concurrent_callers():
+    # Two models at several temperatures, requested from more threads than
+    # cores with a short switch interval, so the kept spectrum is replaced
+    # while other threads read theirs: every call gives its serial value.
+    specs = [sc.ModelSpec(kind="heisenberg", n=8), sc.ModelSpec(kind="ising", n=8, g=0.7)]
+    cases = [(spec, temp) for spec in specs for temp in (0.2, 0.5, 1.3, 4.0)]
+    want = [_hex(_cold(spec, temp)) for spec, temp in cases]
+    errors = []
+
+    def caller(offset):
+        for k in range(3 * len(cases)):
+            i = (k + offset) % len(cases)
+            if _hex(sc.thermal_dataset_ed(*cases[i])) != want[i]:
+                errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    kept = physmodels._kept_spectrum
+    arrays = list(_arrays(kept))
+    assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        kept.w_u[0] = 0.0
 
 
 def _u1_odd(key):
@@ -296,6 +386,7 @@ def test_thermal_dataset_memory_below_one_dense_array(kind):
     # one dense real 1024 x 1024 array is 8 MB
     spec = sc.ModelSpec(kind=kind, n=10, g=1.0)
     sc.thermal_dataset_ed(sc.ModelSpec(kind=kind, n=4, g=1.0), 0.5)
+    physmodels._kept_spectrum = None  # a miss: the spectrum is built inside the trace
     tracemalloc.start()
     try:
         sc.thermal_dataset_ed(spec, 0.5)
@@ -361,6 +452,26 @@ def test_heisenberg_su2_structure():
 def test_ed_cap():
     with pytest.raises(TooLarge):
         sc.ModelSpec(kind="heisenberg", n=15)
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 6.0}, {"n": "6"}, {"n": 1}, {"n": True},
+    {"n": 6, "g": np.nan}, {"n": 6, "g": np.inf}, {"n": 6, "g": "0.5"},
+    {"n": 6, "J": -np.inf}, {"n": 6, "J": np.nan}, {"n": 6, "J": None},
+], ids=["n-float", "n-str", "n-one", "n-bool", "g-nan", "g-inf", "g-str",
+        "j-minus-inf", "j-nan", "j-none"])
+def test_model_spec_validates_fields(fields):
+    with pytest.raises(BadKey):
+        sc.ModelSpec(kind="ising", **fields)
+
+
+def test_model_spec_fields_are_canonical():
+    # the spec keys the kept spectrum, so equal specs must hold equal values
+    spec = sc.ModelSpec(kind="ising", n=np.int64(6), g=-0.0, J=np.float32(2.0))
+    assert (type(spec.n), type(spec.g), type(spec.J)) == (int, float, float)
+    assert spec.g.hex() == "0x0.0p+0"
+    same = sc.ModelSpec(kind="ising", n=6, g=0.0, J=2.0)
+    assert spec == same and hash(spec) == hash(same)
 
 
 # -- structure factors ------------------------------------------------------------------
