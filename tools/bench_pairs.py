@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs.
 
-Run from inside the repository:
+From a clone of the repository:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload thermal-chain \
         --seeds 101-110 --seconds 20 --label spectrum
@@ -15,9 +15,10 @@ ones, and reads each run's ``.perfbench-out/<workload>-seed<s>-trace0.result.jso
 It prints, per workload and end-to-end metric, the median and quartiles of
 each side, how many pairs the change wins, and whether the medians differ
 by more than the parent's interquartile range.  It writes
-``BENCH_<label>.json`` at the repository root: both revisions, the ``src/``
-line count of each, and every run with its metrics and BLAS thread counts.
-``--append`` adds the runs to an existing file of the same two revisions.
+``BENCH_<label>.json`` at the repository root: both revisions, ``--seconds``,
+the ``src/`` line count of each, every run with its metrics and BLAS thread
+counts, and the summary.  The file is rewritten after every run, so an interrupted
+series keeps the runs it made.
 """
 
 import argparse
@@ -29,11 +30,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def git(*args, cwd=None):
-    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True,
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
@@ -53,10 +55,10 @@ def side_order(pair):
     return SIDES if pair % 2 == 0 else SIDES[::-1]
 
 
-def export(root, revision, dest):
+def export(revision, dest):
     """The files of one commit, without the repository's metadata."""
     dest.mkdir(parents=True)
-    archive = subprocess.Popen(["git", "archive", "--format=tar", revision], cwd=root,
+    archive = subprocess.Popen(["git", "archive", "--format=tar", revision], cwd=ROOT,
                                stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     archive.stdout.close()
@@ -70,7 +72,8 @@ def src_lines(checkout):
 
 
 def run_one(checkout, workload, seed, seconds):
-    """One untraced perfbench run; its result record, or None if it failed."""
+    """One untraced perfbench run as a record.  A failed run carries no
+    metrics, only its exit code and the tail of its standard error."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -153,33 +156,23 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="directory for the two exports (default: a temporary one)")
-    parser.add_argument("--append", action="store_true",
-                        help="add to an existing BENCH_<label>.json of the same revisions")
     args = parser.parse_args(argv)
 
-    root = Path(git("rev-parse", "--show-toplevel"))
-    revisions = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=root)
+    revisions = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
                  for side, rev in zip(SIDES, (args.parent, args.change))}
-    out = root / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     doc = {"label": args.label, **{f"{s}_revision": revisions[s] for s in SIDES},
-           "runs": []}
-    if args.append and out.is_file():
-        doc = json.loads(out.read_text())
-        if any(doc[f"{s}_revision"] != revisions[s] for s in SIDES):
-            parser.error(f"{out.name} holds other revisions")
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+           "seconds": args.seconds, "runs": []}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     with tempfile.TemporaryDirectory(dir=args.scratch, prefix="bench-pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
-            export(root, revisions[side], checkouts[side])
+            export(revisions[side], checkouts[side])
         doc["src_lines"] = {side: src_lines(checkouts[side]) for side in SIDES}
         for workload in args.workload:
-            first = 1 + max((r["pair"] for r in doc["runs"] if r["workload"] == workload),
-                            default=-1)
-            for k, seed in enumerate(args.seeds):
-                pair = first + k
+            for pair, seed in enumerate(args.seeds):
                 for side in side_order(pair):
                     record = run_one(checkouts[side], workload, seed, args.seconds)
                     record.update(side=side, revision=revisions[side], pair=pair,
