@@ -185,8 +185,7 @@ def cmd_certify(args) -> int:
         "dual_feas_residual": solution.dual_feas_residual,
         "strong_duality_residual": solution.strong_duality_residual,
         "iterations": solution.iterations,
-        "solver_blocks": problem.reduced.block_dims,
-        "solver_dims": problem.reduced.solver_dims,
+        "solver_dims": problem.reduced.block_dims,
         "scheme": layout.scheme.kind.value,
         "level": args.level,
         "verdict": verdict,

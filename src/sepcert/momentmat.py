@@ -199,7 +199,8 @@ class SymmetryScheme:
     swap_classes: tuple = ((0,), (1,), (2,))
 
     def group_elements(self):
-        """All (axis permutation, axis signs) pairs of the scheme group."""
+        """All (axis permutation, axis signs) pairs of the scheme group, the
+        identity first."""
         perm_choices = []
         for cls in self.swap_classes:
             perm_choices.append([dict(zip(cls, p)) for p in itertools.permutations(cls)])
@@ -367,8 +368,9 @@ class MomentMatrixLayout:
     data_terms: tuple = field(repr=False, default=())
     var_terms: tuple = field(repr=False, default=())
     expansion: tuple = field(repr=False, default=())
-    # basis_action of every scheme group element, in group_elements() order
-    group_actions: tuple = field(repr=False, default=())
+    # (image slot, sign) arrays of the data slots under every non-identity
+    # scheme group element, in group_elements() order
+    slot_actions: tuple = field(repr=False, default=())
     values: tuple = field(repr=False, default=())
 
     @property
@@ -398,20 +400,6 @@ class MomentMatrixLayout:
             return FreeVar(int(value))
         return Zero()
 
-    def basis_action(self, perm, signs):
-        """Action of one group element on basis indices: index permutation and
-        per-index sign (every relabeled basis monomial is again in the basis)."""
-        index = self.basis.index()
-        n = len(self.basis)
-        tgt = np.empty(n, dtype=int)
-        sgn = np.empty(n, dtype=float)
-        for i, m in enumerate(self.basis.monomials):
-            m2 = m.relabel_axes(perm)
-            tgt[i] = index[m2]
-            sgn[i] = m.flip_sign({a for a in range(3) if signs[a] == -1})
-        tgt.flags.writeable = sgn.flags.writeable = False
-        return tgt, sgn
-
     def render_grid(self) -> str:
         """Compact text grid of entry kinds: 1 constant-one, C constant,
         D data, F free, . zero."""
@@ -433,6 +421,23 @@ def _stored_moments(ds: CorrelationDataset):
     index = (np.array([3 * i + a for i, a in one], dtype=np.intp),
              np.array([3 * n * (3 * i + a) + 3 * j + b for i, j, a, b in two], dtype=np.intp))
     return out, index
+
+
+def _slot_actions(n: int, index, scheme: SymmetryScheme) -> tuple:
+    """For every non-identity element of the scheme group, the slot of each
+    data slot's image and the sign the element puts on its value, from the
+    slots' flat indices ``index`` (see ``_stored_moments``).  The scheme
+    must carry the stored correlators onto stored correlators."""
+    one, two = index
+    a, b, c = one % 3, two // (3 * n) % 3, two % 3
+    flat = np.concatenate((one, 3 * n + two))   # one-body flat indices, then two-body ones
+    order = np.argsort(flat)
+    elements = scheme.group_elements()[1:]
+    p = np.array([perm for perm, _ in elements], dtype=np.intp).reshape(-1, 3)
+    s = np.array([signs for _, signs in elements], dtype=float).reshape(-1, 3)
+    image = np.hstack((one - a + p[:, a], two + 3 * n * (1 + p[:, b] - b) + p[:, c] - c))
+    sign = np.hstack((s[:, a], s[:, b] * s[:, c]))
+    return tuple(zip(order[np.searchsorted(flat, image, sorter=order)], sign))
 
 
 def _check_basis(basis: MonomialBasis, ds: CorrelationDataset, scheme: SymmetryScheme):
@@ -599,9 +604,8 @@ def _template(basis: MonomialBasis, ds: CorrelationDataset,
         basis=basis, scheme=scheme, n_sites=basis.n_sites, kind_code=kind_code,
         kind_payload=kind_payload, free_var_count=len(var_index), labels=tuple(label for label, _ in stored.values()),
         var_reps=tuple(var_index), solver_monos=solver_monos, const_terms=_columns(consts, 3),
-        data_terms=_columns(data, 4), var_terms=_columns(varc, 4), expansion=expansion)
-    layout.group_actions = tuple(layout.basis_action(perm, signs)
-                                 for perm, signs in scheme.group_elements())
+        data_terms=_columns(data, 4), var_terms=_columns(varc, 4), expansion=expansion,
+        slot_actions=_slot_actions(basis.n_sites, index, scheme))
     return layout, index
 
 

@@ -101,7 +101,7 @@ class QuenchAmplitudes:
         if phi.shape != (self.n,):
             raise BadKey(f"phi must have shape ({self.n},)")
         norm = float(np.sum(np.abs(phi) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise NotNormalized(f"sum |phi|^2 = {norm!r} is not 1 within 1e-12")
         object.__setattr__(self, "phi", phi)
 
@@ -118,8 +118,8 @@ def quench_amplitudes(n: int, t: float) -> QuenchAmplitudes:
     if n < 2:
         raise BadKey(f"ring length must be >= 2, got {n}")
     t = float(t)
-    if t < 0:
-        raise BadKey(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise BadKey(f"time must be finite and >= 0, got {t}")
     k = np.arange(n)
     r = np.arange(n)
     phase = 2j * np.pi * np.outer(r, k) / n + 1j * t * np.cos(2 * np.pi * k / n)

@@ -12,10 +12,10 @@ layout's independent unknowns u = (lambda, free moments), with the unit
 sphere built into the entry expressions.
 
 The certificate is the dual matrix X of the reduced problem, projected onto
-<F_t, X> = c_t and averaged over the scheme group.  The witness reads one
-multiplier per correlator label off the data terms of the entry expressions;
-the dual residual and the dual objective come from X's blocks, by one
-formula at every level.
+<F_t, X> = c_t.  The witness reads one multiplier per correlator label off
+the data terms of the entry expressions and averages the multipliers over
+the scheme group; the dual residual and the dual objective come from X's
+blocks, by one formula at every level.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ STEP_FRACTION = 0.98
 # Doubles in one chunk's (nb, d, d) stack of W F W products in the Schur
 # build (1 MB): a chunk stays in cache between its product and its transpose.
 SCHUR_CHUNK_DOUBLES = 2 ** 17
-# Rows of one solver block that consecutive small blocks are packed into:
+# Rows of one block that consecutive components of diag(lambda, Gamma) share:
 # below this size an iteration's cost is fixed work per block (LAPACK calls
 # and Python), not arithmetic.
 PACK_DIM = 48
@@ -79,17 +79,11 @@ class SdpStatus(str, enum.Enum):
 class BlockSdp:
     """min c.u  s.t.  G_b(u) = F0_b + sum_t u_t F_tb >= 0 for every block b.
 
-    Callers declare logical blocks (``block_dims``) and give the entries by
-    logical block: ``const`` is the (block, row, col, value) arrays of F0
-    and ``coeffs`` the (block, row, col, var, value) arrays of the F_t, where
-    an entry off the diagonal also stands for its mirror and entries at one
-    position add up.  The solver iterates over ``solver_dims``: consecutive
-    logical blocks share one solver block, on its diagonal, while it stays
-    within PACK_DIM rows, and a larger logical block is a solver block of its
-    own.  ``pack[b]`` is the (solver block, row offset) of logical block b,
-    and :meth:`unpack` returns the logical blocks of per-solver-block
-    matrices.  ``f0`` holds F0 per solver block, and ``kmat`` maps u
-    linearly onto each solver block's stacked matrix entries.
+    ``const`` is the (block, row, col, value) arrays of F0 and ``coeffs`` the
+    (block, row, col, var, value) arrays of the F_t, where an entry off the
+    diagonal also stands for its mirror and entries at one position add up.
+    ``f0`` holds F0 per block, and ``kmat`` maps u linearly onto each
+    block's stacked matrix entries.
     """
 
     def __init__(self, block_dims, n_vars, c, const, coeffs, initial_u=None):
@@ -97,21 +91,13 @@ class BlockSdp:
         self.n_vars = int(n_vars)
         self.c = np.asarray(c, dtype=float)
         self.initial_u = None if initial_u is None else np.asarray(initial_u, dtype=float)
-        self.solver_dims, self.pack = [], []
-        for d in self.block_dims:
-            if self.solver_dims and self.solver_dims[-1] + d <= PACK_DIM:
-                self.pack.append((len(self.solver_dims) - 1, self.solver_dims[-1]))
-                self.solver_dims[-1] += d
-            else:
-                self.pack.append((len(self.solver_dims), 0))
-                self.solver_dims.append(d)
-        cb, cr, cc, take = self._mirrored(*const[:3])
+        cb, cr, cc, take = _mirrored(*const[:3])
         cval = np.asarray(const[3], dtype=float)[take]
-        vb, vr, vc, take = self._mirrored(*coeffs[:3])
+        vb, vr, vc, take = _mirrored(*coeffs[:3])
         tv = np.asarray(coeffs[3], dtype=np.intp)[take]
         vval = np.asarray(coeffs[4], dtype=float)[take]
         self.f0, self.kmat, self.schur_plan = [], [], []
-        for b, d in enumerate(self.solver_dims):
+        for b, d in enumerate(self.block_dims):
             f0, sel = np.zeros((d, d)), cb == b
             np.add.at(f0, (cr[sel], cc[sel]), cval[sel])
             self.f0.append(f0)
@@ -124,30 +110,12 @@ class BlockSdp:
         # Gram matrix of the coefficient matrices, for certificate projection.
         self.gram = sum((k.T @ k).toarray() for k in self.kmat)
 
-    def _mirrored(self, block, row, col):
-        """Solver block, row and column of entries given by logical block,
-        each entry off the diagonal followed by its mirror, and the index of
-        the given entry at every output position."""
-        sb, off = np.array(self.pack, dtype=np.intp).T
-        block = np.asarray(block, dtype=np.intp)
-        row = np.asarray(row, dtype=np.intp) + off[block]
-        col = np.asarray(col, dtype=np.intp) + off[block]
-        take = np.repeat(np.arange(len(row)), np.where(row != col, 2, 1))
-        mirror = np.r_[False, take[1:] == take[:-1]]
-        row, col = row[take], col[take]
-        return sb[block][take], np.where(mirror, col, row), np.where(mirror, row, col), take
-
-    def unpack(self, blocks):
-        """The logical blocks of per-solver-block matrices, in order."""
-        return [blocks[sb][off:off + d, off:off + d]
-                for (sb, off), d in zip(self.pack, self.block_dims)]
-
     # -- linear maps --------------------------------------------------------
 
     def g_of(self, u):
-        """G(u) per solver block."""
+        """G(u) per block."""
         out = []
-        for b, d in enumerate(self.solver_dims):
+        for b, d in enumerate(self.block_dims):
             m = self.f0[b].ravel() + self.kmat[b] @ u
             out.append(m.reshape(d, d))
         return out
@@ -160,11 +128,22 @@ class BlockSdp:
         return out
 
     def apply_at(self, v):
-        """A*(v) = sum_t v_t F_t, per solver block."""
+        """A*(v) = sum_t v_t F_t, per block."""
         out = []
-        for b, d in enumerate(self.solver_dims):
+        for b, d in enumerate(self.block_dims):
             out.append((self.kmat[b] @ v).reshape(d, d))
         return out
+
+
+def _mirrored(block, row, col):
+    """Block, row and column of the given entries, each entry off the
+    diagonal followed by its mirror, and the index of the given entry at
+    every output position."""
+    block, row, col = (np.asarray(a, dtype=np.intp) for a in (block, row, col))
+    take = np.repeat(np.arange(len(row)), np.where(row != col, 2, 1))
+    mirror = np.r_[False, take[1:] == take[:-1]]
+    row, col = row[take], col[take]
+    return block[take], np.where(mirror, col, row), np.where(mirror, row, col), take
 
 
 def _schur_chunks(tv, tr, tc, tval, d):
@@ -200,8 +179,8 @@ def _schur_chunks(tv, tr, tc, tval, d):
 class IpmResult:
     status: SdpStatus
     u: np.ndarray
-    x_blocks: list          # certificate-side X per solver block, the source of every certificate
-    s_blocks: list          # G(u) at the returned u, per solver block
+    x_blocks: list          # certificate-side X per block, the source of every certificate
+    s_blocks: list          # G(u) at the returned u, per block
     obj: float              # c.u
     gap: float
     pinfeas: float
@@ -262,7 +241,7 @@ class InteriorPointSolver:
         are added for it, and an iteration that fails in that stretch
         returns the last iterate that passed."""
         opts = self.options
-        dims = prob.solver_dims
+        dims = prob.block_dims
         n = prob.n_vars
         b_vec = prob.c  # right-hand side of the certificate-side constraints
         dtot = sum(dims)
@@ -462,24 +441,22 @@ def uniform_sphere_moment(m: Monomial) -> float:
 class SdpProblem:
     """The noise-robustness program for one layout in its reduced form.
 
-    The reduced problem declares Gamma as one block per connected component
-    of its entry pattern, after the scalar block of lambda; ``gamma_blocks``
-    holds each component's solver-basis indices.
+    Index 0 of diag(lambda, Gamma) is lambda and index 1 + i the solver-basis
+    element i; ``blocks`` holds the indices of each block of the reduced
+    problem, in order.
     """
 
     layout: MomentMatrixLayout
     reduced: BlockSdp = field(repr=False)
-    gamma_blocks: list = field(repr=False)
+    blocks: list = field(repr=False)
 
-    def solver_gamma(self, blocks):
-        """Solver-basis Gamma from the reduced problem's logical blocks, as
-        ``reduced.unpack`` returns them (block 0, the scalar block, is not
-        part of Gamma)."""
-        d = self.layout.solver_dim
-        gamma = np.zeros((d, d))
-        for idx, blk in zip(self.gamma_blocks, blocks[1:]):
-            gamma[np.ix_(idx, idx)] = blk
-        return gamma
+    def full(self, mats):
+        """diag(lambda, Gamma) in the solver basis from per-block matrices."""
+        d = 1 + self.layout.solver_dim
+        out = np.zeros((d, d))
+        for idx, blk in zip(self.blocks, mats):
+            out[np.ix_(idx, idx)] = blk
+        return out
 
 
 def _components(dim, rows, cols):
@@ -508,9 +485,10 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
     product-measure moment matrix.
 
     Gamma has no entry between two connected components of its entry
-    pattern, so each component is its own logical block of the reduced
-    problem; the default start is block diagonal, and the iterates are those
-    of one Gamma block, whether the solver packs components together or not.
+    pattern.  lambda and the components, in order of their smallest index,
+    share a block while it stays within PACK_DIM rows, and a larger
+    component is a block of its own.  The default start is block diagonal
+    over the components, and so are the iterates, up to rounding.
     """
     nvars = 1 + layout.free_var_count
     objective = np.zeros(nvars)
@@ -518,24 +496,28 @@ def assemble_primal(layout: MomentMatrixLayout) -> SdpProblem:
     c_row, c_col, c_val = layout.const_terms
     d_row, d_col, slot, coeff = layout.data_terms
     v_row, v_col, var, v_coeff = layout.var_terms
-    gamma_blocks = _components(layout.solver_dim, np.concatenate((c_row, d_row, v_row)),
-                               np.concatenate((c_col, d_col, v_col)))
-    block_of = np.empty(layout.solver_dim, dtype=np.intp)
-    local = np.empty(layout.solver_dim, dtype=np.intp)
-    for b, idx in enumerate(gamma_blocks, start=1):
+    blocks = [np.zeros(1, dtype=np.intp)]
+    for idx in _components(layout.solver_dim, np.concatenate((c_row, d_row, v_row)),
+                           np.concatenate((c_col, d_col, v_col))):
+        if len(blocks[-1]) + len(idx) <= PACK_DIM:
+            blocks[-1] = np.concatenate((blocks[-1], 1 + idx))
+        else:
+            blocks.append(1 + idx)
+    block_of, local = np.empty((2, 1 + layout.solver_dim), dtype=np.intp)
+    for b, idx in enumerate(blocks):
         block_of[idx], local[idx] = b, np.arange(len(idx))
     data = coeff * np.asarray(layout.values)[slot]
-    row, col = np.concatenate((c_row, d_row)), np.concatenate((c_col, d_col))
+    row, col = 1 + np.concatenate((c_row, d_row)), 1 + np.concatenate((c_col, d_col))
     const = block_of[row], local[row], local[col], np.concatenate((c_val, data))
-    # the scalar block carries lambda itself; the data's (1 - lambda) factor
-    # and the free moments follow in Gamma's blocks
-    row, col = np.concatenate((d_row, v_row)), np.concatenate((d_col, v_col))
-    coeffs = (np.r_[0, block_of[row]], np.r_[0, local[row]], np.r_[0, local[col]],
+    # index 0 carries lambda itself; the data's (1 - lambda) factor and the
+    # free moments follow in Gamma
+    row, col = np.r_[0, 1 + d_row, 1 + v_row], np.r_[0, 1 + d_col, 1 + v_col]
+    coeffs = (block_of[row], local[row], local[col],
               np.r_[0, np.zeros(len(d_row), dtype=np.intp), 1 + var], np.r_[1.0, -data, v_coeff])
     initial_u = np.array([1.0] + [uniform_sphere_moment(rep) for rep in layout.var_reps])
-    reduced = BlockSdp(block_dims=[1] + [len(idx) for idx in gamma_blocks], n_vars=nvars,
+    reduced = BlockSdp(block_dims=[len(idx) for idx in blocks], n_vars=nvars,
                        c=objective, const=const, coeffs=coeffs, initial_u=initial_u)
-    return SdpProblem(layout=layout, reduced=reduced, gamma_blocks=gamma_blocks)
+    return SdpProblem(layout=layout, reduced=reduced, blocks=blocks)
 
 
 # -- solving and certificate extraction -----------------------------------------
@@ -571,19 +553,9 @@ class SdpSolution:
         return self.status is SdpStatus.OPTIMAL and self.lambda_star > DETECTION_THRESHOLD
 
 
-def _average_over_group(layout: MomentMatrixLayout, mat: np.ndarray) -> np.ndarray:
-    actions = layout.group_actions
-    if len(actions) == 1:
-        return mat
-    out = np.zeros_like(mat)
-    for tgt, sgn in actions:
-        out[np.ix_(tgt, tgt)] += (sgn[:, None] * sgn[None, :]) * mat
-    return out / len(actions)
-
-
-def _extract_multipliers(layout: MomentMatrixLayout, zbar: np.ndarray):
-    """Witness multipliers read off the group-averaged, projected certificate
-    matrix Z in the solver basis.
+def _extract_multipliers(layout: MomentMatrixLayout, z: np.ndarray):
+    """Witness multipliers read off the projected certificate matrix Z in the
+    solver basis, averaged over the scheme group.
 
     Each correlator label gets w_alpha = -<D_alpha, Z> = -2 sum coeff Z[r, c],
     where D_alpha is the coefficient of C_alpha in the solver-basis entry
@@ -593,7 +565,15 @@ def _extract_multipliers(layout: MomentMatrixLayout, zbar: np.ndarray):
     # A correlator is odd in some Bloch component and a diagonal entry's
     # moment is even in all, so data terms sit off the diagonal only.
     row, col, slot, coeff = layout.data_terms
-    w = np.bincount(slot, weights=-2.0 * coeff * zbar[row, col])
+    w = np.bincount(slot, weights=-2.0 * coeff * z[row, col])
+    # Averaging w over the slots' signed images equals reading w off the
+    # group-averaged Z only because each stored label is exactly one data
+    # term with coefficient 1: _check_basis admits a scheme other than the
+    # general one only at level 1 without extras, where that holds.
+    total = w.astype(float)  # a copy; bincount of no terms is an integer array
+    for image, sign in layout.slot_actions:
+        total[image] += sign * w
+    w = total / (1 + len(layout.slot_actions))
     keys = slot[np.sort(np.unique(slot, return_index=True)[1])]  # in order of first use
     w_data = dict(zip([layout.labels[k] for k in keys], w[keys].tolist()))
     return w_data, float(np.dot(w[keys], np.asarray(layout.values)[keys]))
@@ -605,15 +585,10 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
     """Run the interior-point method and build verified certificates."""
     solver = InteriorPointSolver(options)
     layout = problem.layout
-    unpack = problem.reduced.unpack
 
     def certificate(x_blocks):
-        # The certificate is block diagonal over the logical blocks: entries
-        # of a packed solver block between them could only be rounding, and
-        # unpack drops them.
-        xproj = unpack(solver.certificate_projection(problem.reduced, x_blocks))
-        zbar = _average_over_group(layout, problem.solver_gamma(xproj))
-        return (xproj, *_extract_multipliers(layout, zbar))
+        xproj = solver.certificate_projection(problem.reduced, x_blocks)
+        return (xproj, *_extract_multipliers(layout, problem.full(xproj)[1:, 1:]))
 
     last = {}
 
@@ -624,20 +599,18 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
         return abs(1.0 - last["cert"][2]) <= NORMALIZATION_TOL
 
     res = solver.solve(problem.reduced, keep_trace=keep_trace, accept=normalized)
-    if last.get("x") is res.x_blocks:
-        xproj, w_data, w_dot_c = last["cert"]
-    else:
-        xproj, w_data, w_dot_c = certificate(res.x_blocks)
+    cert = last["cert"] if last.get("x") is res.x_blocks else certificate(res.x_blocks)
+    xproj, w_data, w_dot_c = cert
 
     dual_resid = max(0.0, -min(float(np.linalg.eigvalsh(blk)[0]) for blk in xproj))
-    dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(unpack(problem.reduced.f0), xproj))
+    dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(problem.reduced.f0, xproj))
     lambda_star = float(res.u[0])
     strong_resid = abs(lambda_star - dual_obj)
 
     # diag(lambda, Gamma(u)), Gamma in the full basis
     emat = layout.expansion_matrix()
-    s_blocks = unpack(res.s_blocks)
-    x_star = [s_blocks[0], emat @ problem.solver_gamma(s_blocks) @ emat.T]
+    s_full = problem.full(res.s_blocks)
+    x_star = [s_full[:1, :1], emat @ s_full[1:, 1:] @ emat.T]
     min_eig_x = min(float(np.linalg.eigvalsh(0.5 * (blk + blk.T))[0]) for blk in x_star)
 
     status = res.status

@@ -298,15 +298,15 @@ def cmc_check(ds: CorrelationDataset, tol: float = 1e-8) -> CmcResult:
     c_obj[0] = -1.0  # maximize s
     base = cmat - np.outer(cvec, cvec)
     const = [(0, r, cc, base[r, cc]) for r, cc in zip(*np.triu_indices(9)) if base[r, cc] != 0.0]
-    coeffs = [(blk, r, r, 0, -1.0)  # -s on every diagonal
-              for blk, d in enumerate((9, 3, 3, 3)) for r in range(d)]
+    coeffs = [(0, r, r, 0, -1.0) for r in range(18)]  # -s on every diagonal
 
-    # rho_i parametrized by (d0, d1, o01, o02, o12), d2 = 1 - d0 - d1.
+    # One 18-row block: the 9x9 matrix, then rho_0, rho_1, rho_2 on its
+    # diagonal, each parametrized by (d0, d1, o01, o02, o12), d2 = 1 - d0 - d1.
     for i in range(3):
         v0 = 1 + 5 * i
-        for blk, off in ((0, 3 * i), (1 + i, 0)):
-            const.append((blk, off + 2, off + 2, 1.0))
-            coeffs += [(blk, off + r, off + cc, v0 + v, x) for r, cc, v, x in (
+        for off in (3 * i, 9 + 3 * i):
+            const.append((0, off + 2, off + 2, 1.0))
+            coeffs += [(0, off + r, off + cc, v0 + v, x) for r, cc, v, x in (
                 (0, 0, 0, 1.0), (2, 2, 0, -1.0), (1, 1, 1, 1.0), (2, 2, 1, -1.0),
                 (0, 1, 2, 1.0), (0, 2, 3, 1.0), (1, 2, 4, 1.0))]
 
@@ -314,7 +314,7 @@ def cmc_check(ds: CorrelationDataset, tol: float = 1e-8) -> CmcResult:
     initial[0] = -(float(np.linalg.norm(base, 2)) + 1.0)
     for i in range(3):
         initial[1 + 5 * i] = initial[2 + 5 * i] = 1.0 / 3.0
-    prob = BlockSdp(block_dims=[9, 3, 3, 3], n_vars=nvars, c=c_obj, const=list(zip(*const)),
+    prob = BlockSdp(block_dims=[18], n_vars=nvars, c=c_obj, const=list(zip(*const)),
                     coeffs=list(zip(*coeffs)), initial_u=initial)
     res = InteriorPointSolver(SolverOptions(tol=1e-9, max_iter=100)).solve(prob)
     margin = -res.obj  # optimal s

@@ -126,9 +126,9 @@ def entangled_state_dataset(n: int, seed, min_lambda=1e-3):
 
 
 def single_block_problem(layout):
-    """The program of ``assemble_primal`` with Gamma solved as one dense block,
-    its reduced form assembled straight from the layout's solver-basis term
-    arrays."""
+    """The program of ``assemble_primal`` with lambda and Gamma solved as two
+    dense blocks, whatever their size, its reduced form assembled straight
+    from the layout's solver-basis term arrays."""
     from sepcert.sdpcore import BlockSdp
 
     problem = sc.assemble_primal(layout)
@@ -145,7 +145,7 @@ def single_block_problem(layout):
               np.r_[1.0, -data, v_coeff])
     one = BlockSdp(block_dims=[1, d], n_vars=split.n_vars, c=split.c, const=const,
                    coeffs=coeffs, initial_u=split.initial_u)
-    return dataclasses.replace(problem, reduced=one, gamma_blocks=[list(range(d))])
+    return dataclasses.replace(problem, reduced=one, blocks=[np.arange(1), np.arange(1, 1 + d)])
 
 
 def entrywise_program(layout):
@@ -180,6 +180,33 @@ def entrywise_multipliers(layout, z):
         w_data[label] = w_data.get(label, 0.0) - 2.0 * coeff * z[r][c]
         c_data[label] = layout.values[slot]
     return w_data, float(np.dot(list(w_data.values()), list(c_data.values())))
+
+
+def basis_action(layout, perm, signs):
+    """Action of one scheme group element on the layout's basis indices:
+    index permutation and per-index sign (every relabeled basis monomial is
+    again in the basis)."""
+    index = layout.basis.index()
+    flips = {a for a in range(3) if signs[a] == -1}
+    tgt = np.array([index[m.relabel_axes(perm)] for m in layout.basis.monomials])
+    sgn = np.array([float(m.flip_sign(flips)) for m in layout.basis.monomials])
+    return tgt, sgn
+
+
+def average_over_group(layout, mat):
+    """The basis-indexed matrix mat averaged over the scheme group, one
+    whole-matrix scatter per group element: the route that
+    ``_extract_multipliers`` replaces by averaging the multipliers over
+    their labels' images.  A scheme other than the general one exists only
+    at level 1, where the solver basis is the full basis."""
+    group = layout.scheme.group_elements()
+    if len(group) == 1:
+        return mat
+    out = np.zeros_like(mat)
+    for perm, signs in group:
+        tgt, sgn = basis_action(layout, perm, signs)
+        out[np.ix_(tgt, tgt)] += (sgn[:, None] * sgn[None, :]) * mat
+    return out / len(group)
 
 
 def union_find_components(dim, edges):
@@ -264,8 +291,7 @@ def certificate_matrix(problem):
 
     solver = InteriorPointSolver()
     res = solver.solve(problem.reduced)
-    return problem.solver_gamma(problem.reduced.unpack(
-        solver.certificate_projection(problem.reduced, res.x_blocks)))
+    return problem.full(solver.certificate_projection(problem.reduced, res.x_blocks))[1:, 1:]
 
 
 def standard_form_slack(problem, solution):

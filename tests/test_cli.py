@@ -60,8 +60,8 @@ def test_certify_werner_exit_code_and_witness(tmp_path, capsys):
     sol = json.loads((tmp_path / "werner_lam0.solution.json").read_text())
     assert abs(sol["lambda_star"] - 2.0 / 3.0) <= 1e-6
     assert 0.0 <= sol["pinfeas"] <= 1e-8 and 0.0 <= sol["dinfeas"] <= 1e-8
-    assert sol["solver_blocks"] == [1, 1, 2, 2, 2]
-    assert sol["solver_dims"] == [8]  # the five blocks packed into one
+    assert "solver_blocks" not in sol
+    assert sol["solver_dims"] == [8]  # lambda and Gamma's four components share one block
     assert 0.0 <= sol["dual_feas_residual"] <= 1e-8
     assert 0.0 <= sol["strong_duality_residual"] <= 1e-8
     wit = sc.read_witness(tmp_path / "werner_lam0.witness.json")
@@ -286,6 +286,14 @@ def test_generate_thermal_rejects_non_finite_temperature(tmp_path, capsys, temp)
             "--out", tmp_path]
     assert run(argv) == 2
     assert "temperature must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_generate_quench_rejects_non_finite_time(tmp_path, capsys, time):
+    argv = ["generate", "quench-1d", "--n", 8, "--time", time, "--out", tmp_path]
+    assert run(argv) == 2
+    assert f"time must be finite and >= 0, got {time}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

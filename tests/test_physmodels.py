@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import sepcert as sc
 from sepcert import physmodels
-from sepcert.errors import BadKey, BadNoiseLevel, MissingData, NotDensity, TooLarge
+from sepcert.errors import (BadKey, BadNoiseLevel, MissingData, NotDensity, NotNormalized,
+                            TooLarge)
 from sepcert.momentmat import SchemeKind
 from sepcert.seporacle import make_rng
 
@@ -64,6 +65,19 @@ def test_quench_t0_is_delta():
     amps = sc.quench_amplitudes(64, 0.0)
     assert abs(amps.phi[0] - 1.0) < 1e-12
     assert np.max(np.abs(amps.phi[1:])) < 1e-12
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -0.5])
+def test_quench_rejects_bad_time(t):
+    with pytest.raises(BadKey, match="time must be finite and >= 0"):
+        sc.quench_amplitudes(8, t)
+
+
+@pytest.mark.parametrize("phi", [[np.nan, 0.0], [np.inf, 0.0], [1.0, 0.1]],
+                         ids=["nan", "inf", "norm"])
+def test_quench_amplitudes_reject_non_unit_norm(phi):
+    with pytest.raises(NotNormalized):
+        physmodels.QuenchAmplitudes(n=2, t=0.0, phi=np.array(phi, dtype=complex))
 
 
 def test_quench_normalization_sweep():

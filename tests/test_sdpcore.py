@@ -21,11 +21,11 @@ from sepcert.sdpcore import (SCHUR_CHUNK_DOUBLES, BlockSdp, InteriorPointSolver,
                              SolverOptions, assemble_primal, solve)
 from sepcert.seporacle import make_rng
 
-from oracles import (OPENBLAS_SETTERS, blas_thread_counts, certificate_matrix, dense_schur,
-                     drop_entries, entangled_state_dataset, entrywise_multipliers,
-                     entrywise_program, group_average, lstsq_label_coefficients,
-                     random_state_dataset, single_block_problem, standard_form_rows,
-                     standard_form_slack, union_find_components)
+from oracles import (OPENBLAS_SETTERS, average_over_group, blas_thread_counts,
+                     certificate_matrix, dense_schur, drop_entries, entangled_state_dataset,
+                     entrywise_multipliers, entrywise_program, group_average,
+                     lstsq_label_coefficients, random_state_dataset, single_block_problem,
+                     standard_form_rows, standard_form_slack, union_find_components)
 
 needs_openblas_setter = pytest.mark.skipif(
     not OPENBLAS_SETTERS, reason="no OpenBLAS exposes openblas_set_num_threads_local")
@@ -110,33 +110,76 @@ def test_assembly_and_multipliers_match_entrywise_reference():
                 blocks = prob.reduced.f0
             else:
                 blocks = prob.reduced.apply_at(np.eye(prob.reduced.n_vars)[k - 1])
-            blocks = prob.reduced.unpack(blocks)
-            assert blocks[0].tolist() == [[float(k == 1)]]  # the scalar block holds lambda
-            assert np.array_equal(prob.solver_gamma(blocks), want[k])
+            full = prob.full(blocks)
+            assert full[0].tolist() == [float(k == 1)] + [0.0] * layout.solver_dim  # lambda
+            assert np.array_equal(full[1:, 1:], want[k])
         z = rng.normal(size=(layout.solver_dim, layout.solver_dim))
         w_data, w_dot_c = sdpcore._extract_multipliers(layout, z)
-        want_w, want_dot = entrywise_multipliers(layout, z)
+        want_w, want_dot = entrywise_multipliers(layout, average_over_group(layout, z))
         assert list(w_data.items()) == list(want_w.items())  # values and key order
         assert w_dot_c == want_dot
 
 
+_FIXED_LAYOUTS = {}
+
+
+def fixed_layout(name):
+    """The Heisenberg n=10 and quench n=32 layouts, built once per session."""
+    if name not in _FIXED_LAYOUTS:
+        ds = (sc.thermal_dataset_ed(sc.ModelSpec(kind="heisenberg", n=10), 1.0)
+              if name == "heisenberg" else sc.quench_dataset(sc.quench_amplitudes(32, 5.0)))
+        _FIXED_LAYOUTS[name] = layout_for(ds)
+    return _FIXED_LAYOUTS[name]
+
+
+@settings(max_examples=30)
+@given(source=st.sampled_from(["axis", "transverse", "rotation", "heisenberg", "quench"]),
+       n=st.integers(2, 4), seed=st.integers(0, 10 ** 6), drop=st.floats(0.0, 0.5))
+def test_label_averaging_matches_group_averaged_matrix(source, n, seed, drop):
+    # the multipliers averaged over their labels' images against the
+    # multipliers read off Z averaged over the group as a whole matrix
+    if source in ("heisenberg", "quench"):
+        layout = fixed_layout(source)
+    else:
+        scheme = _FORCED_SCHEMES[source]
+        ds = group_average(random_state_dataset(n, seed), scheme, drop, seed + 1)
+        layout = layout_for(ds, scheme=scheme)
+    assert len(layout.slot_actions) == len(layout.scheme.group_elements()) - 1
+    z = make_rng(seed).normal(size=(layout.solver_dim, layout.solver_dim))
+    z += z.T
+    got, got_dot = sdpcore._extract_multipliers(layout, z)
+    want, want_dot = entrywise_multipliers(layout, average_over_group(layout, z))
+    assert list(got) == list(want)
+    scale = max(map(abs, want.values()), default=0.0)
+    assert max((abs(got[k] - want[k]) for k in want), default=0.0) <= 1e-15 * scale
+    assert abs(got_dot - want_dot) <= 1e-15 * scale * len(want)
+
+
+def term_positions(layout):
+    """Rows and columns of every solver-basis term of the layout."""
+    return (np.concatenate([terms[k] for terms in (layout.const_terms, layout.data_terms,
+                                                   layout.var_terms)]) for k in (0, 1))
+
+
 def test_gamma_splits_into_connected_blocks():
+    # lambda and Gamma's components, in order, share a block up to PACK_DIM rows
     cases = [
-        (layout_for(sc.quench_dataset(sc.quench_amplitudes(32, 4.0))), [1, 33, 32, 32]),
-        (layout_for(sc.werner_dataset(0.0)), [1, 1, 2, 2, 2]),
+        (layout_for(sc.quench_dataset(sc.quench_amplitudes(32, 4.0))),
+         [1, 33, 32, 32], [34, 32, 32]),
+        (layout_for(sc.werner_dataset(0.0)), [1, 1, 2, 2, 2], [8]),
     ]
     level2 = layout_for(random_state_dataset(3, 601), level=2)
-    cases.append((level2, [1, level2.solver_dim]))
-    for layout, dims in cases:
+    cases.append((level2, [1, level2.solver_dim], [1, level2.solver_dim]))
+    for layout, comp_dims, dims in cases:
+        comps = [np.arange(1)] + [1 + idx for idx in sdpcore._components(
+            layout.solver_dim, *term_positions(layout))]
+        assert [len(idx) for idx in comps] == comp_dims
         prob = assemble_primal(layout)
         assert prob.reduced.block_dims == dims
-        assert sorted(i for idx in prob.gamma_blocks for i in idx) == list(
-            range(layout.solver_dim))
-        block_of = {i: b for b, idx in enumerate(prob.gamma_blocks) for i in idx}
-        for r, c in zip(*(np.concatenate(cols) for cols in zip(
-                *(terms[:2] for terms in (layout.const_terms, layout.data_terms,
-                                          layout.var_terms))))):
-            assert block_of[r] == block_of[c], (r, c)
+        assert np.array_equal(np.concatenate(prob.blocks), np.concatenate(comps))
+        block_of = {i: b for b, idx in enumerate(prob.blocks) for i in idx}
+        for r, c in zip(*term_positions(layout)):
+            assert block_of[1 + r] == block_of[1 + c], (r, c)
 
 
 @settings(max_examples=60)
@@ -165,44 +208,53 @@ def test_split_solve_matches_single_block():
 
 
 def test_packed_iterates_stay_block_diagonal(monkeypatch):
-    # Every X and S iterate that the solver factors, on the acceptance corpus
-    # and cmc_check's own problem: the entries of a packed solver block
-    # between its logical blocks stay at rounding level.
-    factored, problems = [], []
-    factor, schur = sdpcore._factor, InteriorPointSolver._schur
+    # Every X and S iterate that the solver factors, and every projected
+    # certificate, on the acceptance corpus and cmc_check's own problem: the
+    # entries of a block between the components that share it stay at
+    # rounding level.
+    factored, projected = [], []
+    factor, project = sdpcore._factor, InteriorPointSolver.certificate_projection
 
     def recording_factor(mat):
         factored.append(mat)
         return factor(mat)
 
-    def recording_schur(prob, w_blocks):
-        problems.append(prob)
-        return schur(prob, w_blocks)
+    def recording_projection(self, prob, x_blocks):
+        projected.append(project(self, prob, x_blocks))
+        return projected[-1]
 
     monkeypatch.setattr(sdpcore, "_factor", recording_factor)
-    monkeypatch.setattr(InteriorPointSolver, "_schur", staticmethod(recording_schur))
-    runs = [lambda ds=ds: sc.certify(ds) for ds in (
-        sc.werner_dataset(0.0), sc.dataset_of(sc.random_product_state(4, 1)),
-        sc.dataset_of(sc.random_product_state(8, 2)),
-        sc.quench_dataset(sc.quench_amplitudes(16, 3.0)),
-        sc.thermal_dataset_ed(sc.ModelSpec(kind="heisenberg", n=8), 0.4),
-        random_state_dataset(3, 601))]
-    runs.append(lambda: sc.cmc_check(sc.state_dataset(np.eye(8) / 8)))
+    monkeypatch.setattr(InteriorPointSolver, "certificate_projection", recording_projection)
+    cases = []
+    for ds in (sc.werner_dataset(0.0), sc.dataset_of(sc.random_product_state(4, 1)),
+               sc.dataset_of(sc.random_product_state(8, 2)),
+               sc.quench_dataset(sc.quench_amplitudes(16, 3.0)),
+               sc.thermal_dataset_ed(sc.ModelSpec(kind="heisenberg", n=8), 0.4),
+               random_state_dataset(3, 601)):
+        layout = layout_for(ds)
+        comp = np.empty(1 + layout.solver_dim, dtype=np.intp)
+        comp[0] = -1  # lambda
+        for k, idx in enumerate(sdpcore._components(layout.solver_dim,
+                                                    *term_positions(layout))):
+            comp[1 + idx] = k
+        blocks = assemble_primal(layout).blocks
+        cases.append((lambda ds=ds: sc.certify(ds), [comp[idx] for idx in blocks]))
+    # cmc_check: the 9x9 matrix, then rho_0, rho_1 and rho_2, in one block
+    cases.append((lambda: sc.cmc_check(sc.state_dataset(np.eye(8) / 8)),
+                  [np.repeat(np.arange(4), [9, 3, 3, 3])]))
     packed = 0
-    for run in runs:
+    for run, labels in cases:
         factored.clear()
-        problems.clear()
+        projected.clear()
         run()
-        prob = problems[0]
-        cross = [np.ones((d, d), dtype=bool) for d in prob.solver_dims]
-        for (b, off), d in zip(prob.pack, prob.block_dims):
-            cross[b][off:off + d, off:off + d] = False
+        cross = [lab[:, None] != lab[None, :] for lab in labels]
         packed += sum(m.any() for m in cross)
-        # each iteration factors S, then X, of every solver block in turn
-        for k, mat in enumerate(factored):
-            mask = cross[k // 2 % len(cross)]
+        # each iteration factors S, then X, of every block in turn
+        mats = [(cross[k // 2 % len(cross)], m) for k, m in enumerate(factored)]
+        mats += [(mask, m) for blocks in projected for mask, m in zip(cross, blocks)]
+        for mask, mat in mats:
             assert np.max(np.abs(mat[mask]), initial=0.0) <= 1e-12 * np.max(np.abs(mat))
-    assert packed == 7  # one packed solver block per run
+    assert packed == 7  # one block shared by several components per run
 
 
 def test_schur_matches_dense_oracle(monkeypatch):
@@ -223,14 +275,12 @@ def test_schur_matches_dense_oracle(monkeypatch):
         assemble_primal(layout_for(random_state_dataset(3, 601), level=2)).reduced,
         cmc[0],
     ]
-    assert problems[0].block_dims == [1, 17, 16, 16]
-    assert problems[0].solver_dims == [34, 16]
-    assert problems[2].block_dims == [9, 3, 3, 3]
-    assert problems[2].solver_dims == [18]
+    assert problems[0].block_dims == [34, 16]
+    assert problems[2].block_dims == [18]
     rng = make_rng(9)
     for prob in problems:
         w_blocks = []
-        for d in prob.solver_dims:
+        for d in prob.block_dims:
             a = rng.normal(size=(d, d))
             w_blocks.append(a @ a.T + d * np.eye(d))
         got = InteriorPointSolver._schur(prob, w_blocks)
@@ -275,7 +325,7 @@ def test_schur_matches_dense_oracle_on_generated_problems(shape, seed):
     prob = random_block_sdp(*shape, seed)
     rng = make_rng(seed + 1)
     w_blocks = []
-    for d in prob.solver_dims:
+    for d in prob.block_dims:
         a = rng.normal(size=(d, d))
         w_blocks.append(a @ a.T + d * np.eye(d))
     got = InteriorPointSolver._schur(prob, w_blocks)
