@@ -424,20 +424,20 @@ def _stored_moments(ds: CorrelationDataset):
 
 
 def _slot_actions(n: int, index, scheme: SymmetryScheme) -> tuple:
-    """For every non-identity element of the scheme group, the slot of each
-    data slot's image and the sign the element puts on its value, from the
-    slots' flat indices ``index`` (see ``_stored_moments``).  The scheme
-    must carry the stored correlators onto stored correlators."""
+    """Image slot and sign of every data slot under each non-identity element
+    of the scheme group, from the slots' flat indices ``index`` (see
+    ``_stored_moments``); the scheme must map stored correlators to stored ones."""
     one, two = index
     a, b, c = one % 3, two // (3 * n) % 3, two % 3
     flat = np.concatenate((one, 3 * n + two))   # one-body flat indices, then two-body ones
-    order = np.argsort(flat)
-    elements = scheme.group_elements()[1:]
-    p = np.array([perm for perm, _ in elements], dtype=np.intp).reshape(-1, 3)
-    s = np.array([signs for _, signs in elements], dtype=float).reshape(-1, 3)
-    image = np.hstack((one - a + p[:, a], two + 3 * n * (1 + p[:, b] - b) + p[:, c] - c))
-    sign = np.hstack((s[:, a], s[:, b] * s[:, c]))
-    return tuple(zip(order[np.searchsorted(flat, image, sorter=order)], sign))
+    order = np.argsort(flat).astype(np.int32)   # 4 + 1 bytes per slot and element
+
+    def action(perm, signs):
+        p, s = np.array(perm), np.array(signs, dtype=np.int8)
+        image = np.hstack((one - a + p[a], two + 3 * n * (1 + p[b] - b) + p[c] - c))
+        return order[np.searchsorted(flat, image, sorter=order)], np.hstack((s[a], s[b] * s[c]))
+
+    return tuple(action(*element) for element in scheme.group_elements()[1:])
 
 
 def _check_basis(basis: MonomialBasis, ds: CorrelationDataset, scheme: SymmetryScheme):

@@ -610,7 +610,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
     # diag(lambda, Gamma(u)), Gamma in the full basis
     emat = layout.expansion_matrix()
     s_full = problem.full(res.s_blocks)
-    x_star = [s_full[:1, :1], emat @ s_full[1:, 1:] @ emat.T]
+    x_star = [s_full[:1, :1].copy(), emat @ s_full[1:, 1:] @ emat.T]
     min_eig_x = min(float(np.linalg.eigvalsh(0.5 * (blk + blk.T))[0]) for blk in x_star)
 
     status = res.status

@@ -1,5 +1,6 @@
 """Assembly, interior-point solving, duality certificates, hierarchy."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -120,16 +121,12 @@ def test_assembly_and_multipliers_match_entrywise_reference():
         assert w_dot_c == want_dot
 
 
-_FIXED_LAYOUTS = {}
-
-
+@functools.lru_cache(maxsize=None)
 def fixed_layout(name):
-    """The Heisenberg n=10 and quench n=32 layouts, built once per session."""
-    if name not in _FIXED_LAYOUTS:
-        ds = (sc.thermal_dataset_ed(sc.ModelSpec(kind="heisenberg", n=10), 1.0)
-              if name == "heisenberg" else sc.quench_dataset(sc.quench_amplitudes(32, 5.0)))
-        _FIXED_LAYOUTS[name] = layout_for(ds)
-    return _FIXED_LAYOUTS[name]
+    """The Heisenberg n=10 or the quench n=32 layout, built once per session."""
+    if name == "heisenberg":
+        return layout_for(sc.thermal_dataset_ed(sc.ModelSpec(kind="heisenberg", n=10), 1.0))
+    return layout_for(sc.quench_dataset(sc.quench_amplitudes(32, 5.0)))
 
 
 @settings(max_examples=30)
