@@ -184,6 +184,7 @@ def cmd_certify(args) -> int:
         "dinfeas": solution.dinfeas,
         "dual_feas_residual": solution.dual_feas_residual,
         "strong_duality_residual": solution.strong_duality_residual,
+        "proved_bound": solution.proved_bound,
         "iterations": solution.iterations,
         "solver_dims": problem.reduced.block_dims,
         "scheme": layout.scheme.kind.value,

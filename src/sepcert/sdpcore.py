@@ -15,7 +15,8 @@ The certificate is the dual matrix X of the reduced problem, projected onto
 <F_t, X> = c_t.  The witness reads one multiplier per correlator label off
 the data terms of the entry expressions and averages the multipliers over
 the scheme group; the dual residual and the dual objective come from X's
-blocks, by one formula at every level.
+blocks, by one formula at every level.  The witness is scaled so that its
+stated bound 1 - lambda* is the bound X proves for separable data.
 """
 
 from __future__ import annotations
@@ -531,7 +532,8 @@ class SdpSolution:
     correlator label to its multiplier, and ``w_dot_c`` is sum w_alpha
     C_alpha over the stored values.  ``dual_feas_residual`` is
     max(0, -lambda_min) over the blocks of the reduced dual matrix, and
-    ``strong_duality_residual`` is |lambda* - (-<F0, X>)|.
+    ``strong_duality_residual`` is |lambda* - (-<F0, X>)|.  ``proved_bound``
+    is the b of ``_proved_bound``: w_data . C' <= b for all separable C'.
     """
 
     status: SdpStatus
@@ -543,6 +545,7 @@ class SdpSolution:
     w_dot_c: float
     dual_feas_residual: float
     strong_duality_residual: float
+    proved_bound: float
     min_eig_x: float
     pinfeas: float          # final relative primal and dual infeasibility of the IPM
     dinfeas: float
@@ -579,6 +582,26 @@ def _extract_multipliers(layout: MomentMatrixLayout, z: np.ndarray):
     return w_data, float(np.dot(w[keys], np.asarray(layout.values)[keys]))
 
 
+def _proved_bound(problem: SdpProblem, xproj, z, dual_resid: float) -> float:
+    """b = <K, Z> + sum_{t>=1} |<F_t, X>| + d * dual_resid, an upper bound on
+    w . C' over all separable data C' for the multipliers read off X.
+
+    Z is X's Gamma part in the solver basis (dimension d) and K the constant
+    part of Gamma.  Separable data have a moment matrix G = K + sum C'_alpha
+    D_alpha + sum u_t F_t >= 0, after averaging over the scheme group (which
+    keeps them separable and leaves the averaged w . C' unchanged), where
+    every u_t is a moment of unit vectors, so |u_t| <= 1, and tr G <= d.
+    Hence w . C' = <K, Z> + sum u_t <F_t, X> - <G, Z> <= b: -<G, Z> is at
+    most d times the shift that makes Z PSD, and dual_resid bounds that
+    shift by interlacing (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46,
+    2007).  <F_t, X> = c_t = 0 for t >= 1 up to the projection's residual.
+    """
+    row, col, val = problem.layout.const_terms
+    k_dot_z = float(np.dot(np.where(row == col, 1.0, 2.0) * val, z[row, col]))
+    resid = float(np.abs(problem.reduced.apply_a(xproj)[1:]).sum())
+    return k_dot_z + resid + problem.layout.solver_dim * dual_resid
+
+
 @single_blas_thread()
 def solve(problem: SdpProblem, options: SolverOptions | None = None,
           keep_trace: bool = False) -> SdpSolution:
@@ -588,7 +611,8 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
 
     def certificate(x_blocks):
         xproj = solver.certificate_projection(problem.reduced, x_blocks)
-        return (xproj, *_extract_multipliers(layout, problem.full(xproj)[1:, 1:]))
+        z = problem.full(xproj)[1:, 1:]
+        return (xproj, z, *_extract_multipliers(layout, z))
 
     last = {}
 
@@ -596,11 +620,11 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
         if -y[0] <= DETECTION_THRESHOLD:  # no witness is drawn from it
             return True
         last["x"], last["cert"] = x_blocks, certificate(x_blocks)
-        return abs(1.0 - last["cert"][2]) <= NORMALIZATION_TOL
+        return abs(1.0 - last["cert"][3]) <= NORMALIZATION_TOL
 
     res = solver.solve(problem.reduced, keep_trace=keep_trace, accept=normalized)
     cert = last["cert"] if last.get("x") is res.x_blocks else certificate(res.x_blocks)
-    xproj, w_data, w_dot_c = cert
+    xproj, z, w_data, w_dot_c = cert
 
     dual_resid = max(0.0, -min(float(np.linalg.eigvalsh(blk)[0]) for blk in xproj))
     dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(problem.reduced.f0, xproj))
@@ -620,7 +644,8 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
         status=status, lambda_star=lambda_star, x_star=x_star,
         w_data=w_data, duality_gap=res.gap, iterations=res.iterations,
         w_dot_c=w_dot_c, dual_feas_residual=dual_resid,
-        strong_duality_residual=strong_resid, min_eig_x=min_eig_x,
+        strong_duality_residual=strong_resid,
+        proved_bound=_proved_bound(problem, xproj, z, dual_resid), min_eig_x=min_eig_x,
         pinfeas=res.pinfeas, dinfeas=res.dinfeas, trace=res.trace)
 
 
@@ -636,10 +661,13 @@ def extract_witness(solution: SdpSolution, problem: SdpProblem,
                     threshold: float = DETECTION_THRESHOLD):
     """Entanglement witness from the solution's multipliers.
 
-    The coefficients are ``solution.w_data``, keyed by correlator label; all
-    separable data satisfy  sum w_alpha C_alpha <= 1 - lambda_star, while the
-    certified dataset attains  sum w_alpha C_alpha = 1.  ``problem`` is not
-    read: the multipliers travel with the solution.
+    The coefficients are ``solution.w_data``, keyed by correlator label,
+    times kappa = (1 - lambda_star) / b for the certificate's proved bound
+    b, so that all separable data provably satisfy
+    sum w_alpha C_alpha <= 1 - lambda_star, the stated bound, while the
+    certified dataset gives kappa * w.C = 1 up to about 1e-7.  A certificate
+    whose b is not below w.C proves no detection and raises SolverFailure.
+    ``problem`` is not read: the multipliers travel with the solution.
     """
     from .witnesslab import Witness  # local import to avoid a module cycle
 
@@ -653,6 +681,12 @@ def extract_witness(solution: SdpSolution, problem: SdpProblem,
         raise SolverFailure(
             f"dual certificate violates the normalization identity: "
             f"w.C = {solution.w_dot_c!r}")
-    return Witness(coefficients=dict(solution.w_data),
+    bound = solution.proved_bound
+    if not 0.0 < bound < solution.w_dot_c:
+        raise SolverFailure(
+            f"the bound {bound!r} the certificate proves for separable data is "
+            f"not between 0 and w.C = {solution.w_dot_c!r}: no detection is proved")
+    kappa = (1.0 - solution.lambda_star) / bound
+    return Witness(coefficients={k: kappa * w for k, w in solution.w_data.items()},
                    separable_bound=1.0 - solution.lambda_star,
                    orientation="upper", provenance="dual_certificate")

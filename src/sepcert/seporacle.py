@@ -7,7 +7,7 @@ tightness of witness bounds from below.
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +16,9 @@ from .corrdata import AXES, CorrelationDataset, parse_label
 from .errors import BadKey, NotNormalized
 
 DEFAULT_RESTARTS = 1000
-MAX_ITER = 4000
-GRAD_TOL = 1e-10
-STALL_WINDOW = 64
-STALL_TOL = 1e-9
+# Site-wise sweeps of every restart, then at most this many Newton steps.
+SWEEPS = 20
+NEWTON_STEPS = 6
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -123,31 +122,66 @@ def random_separable_mixture(n: int, n_components: int, seed) -> SeparableMixtur
 # -- variational maximization over product states ---------------------------
 
 
+# A run of correlator labels joined by newlines; sites take at most nine
+# digits, so the parse below stays within int64.
+_LABEL = r"[XYZ]\[[0-9]{1,9}\]|[XYZ][XYZ]\[[0-9]{1,9},[0-9]{1,9}\]"
+_LABEL_LINES = re.compile(rf"(?:{_LABEL})(?:\n(?:{_LABEL}))*")
+
+
+def _bad_label(label, why):
+    parse_label(label)  # raises the parser's own error where it has one
+    raise BadKey(f"witness label {label!r} {why}")
+
+
 class _WitnessTerms:
     """Dense quadratic form of a witness over product-state coordinates.
 
     With x flattened to (site, axis) coordinates, the witness value is
     0.5 x^T W x + v.x for the symmetric two-body matrix W and one-body
     vector v, so batched values and gradients are single matrix products.
+    W has no entry between two axes of one site.
+
+    The labels are parsed in one pass over their joined bytes, and the
+    coefficients added in label order, as a loop over ``parse_label`` adds
+    them.
     """
 
     def __init__(self, witness, n: int):
-        self.n = int(n)
-        self.wmat = np.zeros((3 * n, 3 * n))
+        self.n = n = int(n)
+        labels = list(witness.coefficients)
+        text = "\n".join(labels)
+        if not _LABEL_LINES.fullmatch(text):
+            _bad_label(next(lbl for lbl in labels if not _LABEL_LINES.fullmatch(lbl)),
+                       "is not a correlator label with sites below 10^9")
+        chars = np.frombuffer(text.encode(), np.uint8)
+        start = np.r_[0, np.flatnonzero(chars == ord("\n")) + 1]
+        two = chars[start + 1] != ord("[")
+        a = chars[start].astype(np.intp) - ord("X")
+        b = np.where(two, chars[start + 1], ord("X")).astype(np.intp) - ord("X")
+        # Each run of digits is one site: sum of digit * 10^(digits after it).
+        pos = np.flatnonzero((chars >= ord("0")) & (chars <= ord("9")))
+        first = np.r_[True, pos[1:] != pos[:-1] + 1]
+        last = np.flatnonzero(np.r_[first[1:], True])
+        after = last[np.cumsum(first) - 1] - np.arange(len(pos))
+        sites = np.add.reduceat((chars[pos] - ord("0")) * 10 ** after, np.flatnonzero(first))
+        k = np.cumsum(1 + two) - (1 + two)
+        i, j = sites[k], sites[k + two]
+        if np.any(two & (i == j)):
+            _bad_label(labels[np.argmax(two & (i == j))], "names one site twice")
+        # canonical order i < j, as parse_label gives it
+        swap = i > j
+        i, j = np.where(swap, j, i), np.where(swap, i, j)
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        if np.any(j >= n):
+            bad = int(np.argmax(j >= n))
+            raise BadKey(f"witness label {labels[bad]} references site {j[bad]} >= n={n}")
+        w = np.array(list(witness.coefficients.values()), dtype=float)
         self.wvec = np.zeros(3 * n)
-        for label, w in witness.coefficients.items():
-            key = parse_label(label)
-            if len(key) == 2:
-                i, a = key
-                if i >= n:
-                    raise BadKey(f"witness label {label} references site {i} >= n={n}")
-                self.wvec[3 * i + int(a)] += float(w)
-            else:
-                i, j, a, b = key
-                if j >= n:
-                    raise BadKey(f"witness label {label} references site {j} >= n={n}")
-                self.wmat[3 * i + int(a), 3 * j + int(b)] += float(w)
-                self.wmat[3 * j + int(b), 3 * i + int(a)] += float(w)
+        np.add.at(self.wvec, 3 * i[~two] + a[~two], w[~two])
+        r, c, w = 3 * i[two] + a[two], 3 * j[two] + b[two], w[two]
+        self.wmat = np.zeros((3 * n, 3 * n))
+        # the entries and their mirrors are disjoint, since i < j
+        np.add.at(self.wmat, (np.r_[r, c], np.r_[c, r]), np.r_[w, w])
 
     def value(self, flat):
         """Values and Euclidean gradients for a batch of flattened states,
@@ -157,39 +191,65 @@ class _WitnessTerms:
         return 0.5 * np.einsum("bs,bs->b", flat, half) + flat @ self.wvec, half + self.wvec
 
 
-def _retire(keep, live, x, val, xl, vl, *rows):
-    """Write the restarts that ``keep`` drops back into the full ``x`` and
-    ``val``; return ``live``, ``xl``, ``vl`` and ``rows`` cut to the kept ones."""
-    drop = ~keep
-    x[live[drop]] = xl[drop]
-    val[live[drop]] = vl[drop]
-    return (live[keep], xl[keep], vl[keep]) + tuple(r[keep] for r in rows)
+def _tangent_basis(x):
+    """Two orthonormal tangent vectors at each unit vector of x (..., 3),
+    as the columns of an (..., 3, 2) array."""
+    axis = np.zeros_like(x)
+    np.put_along_axis(axis, np.argmin(np.abs(x), axis=-1)[..., None], 1.0, axis=-1)
+    t1 = np.cross(x, axis)
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+    return np.stack((t1, np.cross(x, t1)), axis=-1)
+
+
+def _newton_candidates(terms, x, grad):
+    """Riemannian Newton step on the product of spheres from each state of x
+    (B, n, 3), with Euclidean gradients ``grad`` (B, 3n), each site
+    renormalized (Absil, Mahony & Sepulchre, Optimization Algorithms on
+    Matrix Manifolds, 2008, ch. 6).
+
+    On the tangent basis T the Hessian is T^T W T - diag(x_i . grad_i) and
+    the gradient T^T grad.  A tiny shift of the Hessian keeps the solve
+    defined where a site has neither coupling nor field.  The Hessians are
+    built a chunk of restarts at a time, a few MB each.
+    """
+    B, n = x.shape[:2]
+    # column block j of W, (n, 3n, 3)
+    wcols = terms.wmat.reshape(3 * n, n, 3).transpose(1, 0, 2)
+    shift = 1e-13 * (1.0 + np.abs(terms.wmat).sum(axis=1).max())
+    diag = np.arange(2 * n)
+    out = np.empty_like(x)
+    chunk = max(1, 2 ** 19 // (6 * n * n))
+    for lo in range(0, B, chunk):
+        xs, gs = x[lo:lo + chunk], grad[lo:lo + chunk].reshape(-1, n, 3)
+        c = len(xs)
+        t = _tangent_basis(xs)
+        # W T by column blocks, regrouped by row site: (c, n, 3, 2n)
+        wt = np.matmul(wcols, t).reshape(c, n, n, 3, 2).transpose(0, 2, 3, 1, 4)
+        h = np.matmul(t.transpose(0, 1, 3, 2), wt.reshape(c, n, 3, 2 * n)).reshape(c, 2 * n, -1)
+        h[:, diag, diag] -= np.repeat(np.einsum("bia,bia->bi", xs, gs), 2, axis=1) + shift
+        gt = np.matmul(gs[:, :, None, :], t).reshape(c, -1, 1)
+        step = np.linalg.solve(h, -gt).reshape(c, n, 2, 1)
+        cand = xs + np.matmul(t, step)[..., 0]
+        out[lo:lo + chunk] = cand / np.linalg.norm(cand, axis=2, keepdims=True)
+    return out
 
 
 def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS, seed=0):
     """Best local maximum of a witness functional over pure product states.
 
-    Projected gradient ascent on the product of unit spheres, run from
-    ``restarts`` random starts in one vectorized batch, for at most
-    ``MAX_ITER`` iterations.  The step is halved on non-improvement; a
-    restart stops once its Riemannian gradient norm drops below
-    ``GRAD_TOL``, its step underflows, or its value has gained less than
-    ``STALL_TOL`` over the last ``STALL_WINDOW`` iterations (these
-    landscapes develop nearly flat ridges along which strict ascent crawls
-    indefinitely).  Pure products suffice: the maximum of a linear functional
-    over the (convex) separable set is attained at an extreme point.
+    From ``restarts`` random starts in one batch, ``SWEEPS`` sweeps of exact
+    site-wise ascent, then Riemannian Newton steps.  The witness is linear
+    in each site's Bloch vector, so x_i <- grad_i / |grad_i| maximizes it
+    over site i exactly (x_i stays where grad_i = 0), and each sweep is
+    monotone; the gradient is kept current by a rank-3 update per site.
+    Then at most ``NEWTON_STEPS`` Newton steps are taken, a restart's step
+    kept only if its value rises; the steps stop when no restart rises, a
+    restart that did not rise being at the same point as before.  Pure
+    products suffice: the maximum of a linear functional over the (convex)
+    separable set is attained at an extreme point.
 
-    The live restarts are kept as compact arrays, cut only when a restart
-    drops out.  An iteration makes one matrix product: a restart's
-    gradient is the one its value was computed with, kept until a candidate
-    is accepted, and taken again for every live restart after one drops
-    out.  The per-site sums over the three Bloch components are written
-    out left to right, the order ``np.sum`` takes over a length-3 axis, so
-    every iterate is what a per-iteration gather with a fresh gradient and
-    ``np.sum`` / ``np.linalg.norm`` gives, bit for bit.
-
-    Returns ``(best_value, best_state)``; ties break by restart index via
-    argmax.
+    Returns ``(best_value, best_state)``: the value is evaluated afresh at
+    the returned, normalized state; ties break by restart index via argmax.
     """
     if int(restarts) < 1 or int(n) < 1:
         raise BadKey(f"need restarts >= 1 and n >= 1, got restarts={restarts}, n={n}")
@@ -198,55 +258,27 @@ def max_over_product_states(witness, n: int, restarts: int = DEFAULT_RESTARTS, s
     B = int(restarts)
     x = rng.normal(size=(B, n, 3))
     x /= np.linalg.norm(x, axis=2, keepdims=True)
-    val, gl = terms.value(x.reshape(B, -1))
-    # State, value, Euclidean gradient, step and stall checkpoint of each
-    # live restart, in the order of ``live``.
+    flat = x.reshape(B, -1)  # a view: the sweeps move x
+    grad = terms.value(flat)[1]
+    rows = terms.wmat.reshape(n, 3, -1)
+    for _ in range(SWEEPS):
+        for i in range(n):
+            site = slice(3 * i, 3 * i + 3)
+            g = grad[:, site]
+            norm = np.sqrt(np.einsum("ba,ba->b", g, g))[:, None]
+            new = np.where(norm > 0.0, g / np.where(norm > 0.0, norm, 1.0), flat[:, site])
+            grad += (new - flat[:, site]) @ rows[i]
+            flat[:, site] = new
+    val, grad = terms.value(flat)
     live = np.arange(B)
-    xl, vl = x.copy(), val.copy()
-    step = np.full(B, 0.5)
-    checkpoint = vl
-    stale = False
-    for it in range(1, MAX_ITER + 1):
-        if len(live) == 0:
-            break
-        if stale:
-            # BLAS may round a row of a matrix product differently in a
-            # batch of another size (numpy takes another routine for one
-            # row, OpenBLAS another kernel for a few), so once restarts
-            # drop out every gradient is taken again, in the new batch.
-            gl = terms.value(xl.reshape(len(live), -1))[1]
-            stale = False
-        # Riemannian gradient: project out the radial component per site.
-        g = gl.reshape(-1, n, 3)
-        p = g * xl
-        g = (g - (p[..., 0] + p[..., 1] + p[..., 2])[..., None] * xl).reshape(len(live), -1)
-        gsq = np.add.reduce(g * g, axis=1)
-        # sqrt is monotone and correctly rounded, so it commutes with min.
-        if not (math.sqrt(gsq.min()) > GRAD_TOL and step.min() > 1e-16):
-            keep = (np.sqrt(gsq) > GRAD_TOL) & (step > 1e-16)
-            live, xl, vl, gl, g, step, checkpoint = _retire(
-                keep, live, x, val, xl, vl, gl, g, step, checkpoint)
-            stale = True
-            if len(live) == 0:
-                break
-        cand = xl + step[:, None, None] * g.reshape(-1, n, 3)
-        c2 = cand * cand
-        cand /= np.sqrt(c2[..., 0] + c2[..., 1] + c2[..., 2])[..., None]
+    for _ in range(NEWTON_STEPS):
+        cand = _newton_candidates(terms, x[live], grad[live])
         cand_val, cand_grad = terms.value(cand.reshape(len(live), -1))
-        # Strict ascent only: at a local maximum every candidate fails, the
-        # step halves geometrically and the restart drops out.
-        improved = cand_val > vl
-        np.copyto(xl, cand, where=improved[:, None, None])
-        np.copyto(gl, cand_grad, where=improved[:, None])
-        vl = np.where(improved, cand_val, vl)
-        step = step * np.where(improved, 1.2, 0.5)
-        if it % STALL_WINDOW == 0:
-            moving = vl - checkpoint > STALL_TOL
-            if not moving.all():
-                live, xl, vl, gl, step = _retire(moving, live, x, val, xl, vl, gl, step)
-                stale = True
-            checkpoint = vl
-    x[live] = xl
-    val[live] = vl
-    best = int(np.argmax(val))
-    return float(val[best]), ProductState(x[best] / np.linalg.norm(x[best], axis=1, keepdims=True))
+        rose = cand_val > val[live]
+        if not rose.any():
+            break
+        live = live[rose]
+        x[live], val[live], grad[live] = cand[rose], cand_val[rose], cand_grad[rose]
+    best = x[int(np.argmax(val))]
+    state = ProductState(best / np.linalg.norm(best, axis=1, keepdims=True))
+    return float(terms.value(state.bloch.reshape(1, -1))[0][0]), state

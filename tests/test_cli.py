@@ -64,6 +64,8 @@ def test_certify_werner_exit_code_and_witness(tmp_path, capsys):
     assert sol["solver_dims"] == [8]  # lambda and Gamma's four components share one block
     assert 0.0 <= sol["dual_feas_residual"] <= 1e-8
     assert 0.0 <= sol["strong_duality_residual"] <= 1e-8
+    # the certificate's bound for separable data, to which the witness is scaled
+    assert abs(sol["proved_bound"] - (1.0 - sol["lambda_star"])) <= 1e-8
     wit = sc.read_witness(tmp_path / "werner_lam0.witness.json")
     assert abs(wit.separable_bound - 1.0 / 3.0) <= 1e-6
 

@@ -1,5 +1,6 @@
 """Assembly, interior-point solving, duality certificates, hierarchy."""
 
+import dataclasses
 import functools
 import os
 import subprocess
@@ -16,7 +17,7 @@ import sepcert as sc
 from sepcert import sdpcore
 from sepcert._blas import single_blas_thread
 from sepcert.cli import _FORCED_SCHEMES
-from sepcert.errors import NotEntangled
+from sepcert.errors import NotEntangled, SolverFailure
 from sepcert.momentmat import GENERAL_SCHEME, layout_for
 from sepcert.sdpcore import (SCHUR_CHUNK_DOUBLES, BlockSdp, InteriorPointSolver, SdpStatus,
                              SolverOptions, assemble_primal, solve)
@@ -448,9 +449,13 @@ def test_label_coefficients_match_lstsq_oracle():
         want = lstsq_label_coefficients(problem, certificate_matrix(problem))
         sol = solve(problem)
         assert sol.status is SdpStatus.OPTIMAL
-        got = sc.extract_witness(sol, problem).coefficients
+        got = sol.w_data
         assert got.keys() == want.keys()
         assert max(abs(got[lbl] - want[lbl]) for lbl in want) <= 1e-10
+        # the witness states the multipliers scaled to the proved bound
+        kappa = (1.0 - sol.lambda_star) / sol.proved_bound
+        wit = sc.extract_witness(sol, problem)
+        assert wit.coefficients == {lbl: kappa * w for lbl, w in got.items()}
         assert sol.dual_feas_residual <= 1e-8
         assert sol.strong_duality_residual <= 1e-6
         assert abs(sol.w_dot_c - 1.0) <= 1e-6
@@ -512,6 +517,17 @@ def test_extract_witness_not_entangled():
     sol, prob = sc.certify(sc.dataset_of(sc.random_product_state(3, 0)))
     with pytest.raises(NotEntangled):
         sc.extract_witness(sol, prob)
+
+
+@pytest.mark.parametrize("excess", [0.0, 1e-9, 1.0])
+def test_extract_witness_needs_a_proved_detection(excess):
+    # a certificate whose proved bound b is not below w.C proves no detection
+    sol, prob = sc.certify(sc.werner_dataset(0.0))
+    assert 0.0 < sol.proved_bound < sol.w_dot_c
+    sc.extract_witness(sol, prob)
+    bad = dataclasses.replace(sol, proved_bound=sol.w_dot_c + excess)
+    with pytest.raises(SolverFailure, match="no detection is proved"):
+        sc.extract_witness(bad, prob)
 
 
 # Thermal n=10 chains just inside detection, from the thermal-chain
