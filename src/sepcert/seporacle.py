@@ -147,7 +147,7 @@ class _WitnessTerms:
     """
 
     def __init__(self, witness, n: int):
-        self.n = n = int(n)
+        n = int(n)
         labels = list(witness.coefficients)
         text = "\n".join(labels)
         if not _LABEL_LINES.fullmatch(text):

@@ -189,15 +189,19 @@ def test_search_value_is_its_state_and_beats_starts(case):
 def test_witness_terms_match_label_loop(case, data):
     """The array parse of the labels builds W and v bit for bit as a loop
     over parse_label does, two-body labels also written with their sites in
-    reverse order (which may name one correlator twice)."""
+    reverse order, in place of or next to the canonical label (two labels
+    of one correlator add up, in label order)."""
     wit, n, _ = case
     coeffs = {}
     for label, w in wit.coefficients.items():
         key = sc.parse_label(label)
-        if len(key) == 4 and data.draw(st.booleans()):
+        form = data.draw(st.sampled_from(["canonical", "reversed", "both"])) \
+            if len(key) == 4 else "canonical"
+        if form != "reversed":
+            coeffs[label] = w
+        if form != "canonical":
             i, j, a, b = key
-            label = f"{b}{a}[{j},{i}]"
-        coeffs[label] = w
+            coeffs[f"{b}{a}[{j},{i}]"] = data.draw(st.floats(-2.0, 2.0))
     wit = sc.Witness(coefficients=coeffs, separable_bound=1.0)
     got, want = seporacle._WitnessTerms(wit, n), _ReferenceTerms(wit, n)
     assert np.array_equal(got.wmat, want.wmat) and np.array_equal(got.wvec, want.wvec)
