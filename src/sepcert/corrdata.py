@@ -50,7 +50,7 @@ AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 # Mask over the (n, 3, n, 3) view that selects the same-axis pairs C_ij^aa.
 SAME_AXIS = np.eye(3, dtype=bool)[None, :, None, :]
 
-_LABEL_RE = re.compile(r"^([XYZ])\[(\d+)\]$|^([XYZ])([XYZ])\[(\d+),(\d+)\]$")
+_LABEL_RE = re.compile(r"([XYZ])\[([0-9]+)\]|([XYZ])([XYZ])\[([0-9]+),([0-9]+)\]")
 
 
 def one_body_label(i: int, axis: PauliAxis) -> str:
@@ -68,7 +68,7 @@ def parse_label(label: str):
     Returns ``(i, axis)`` for one-body labels and ``(i, j, ax_i, ax_j)``
     (canonical, i < j) for two-body labels.
     """
-    m = _LABEL_RE.match(label)
+    m = _LABEL_RE.fullmatch(label)
     if m is None:
         raise BadKey(f"malformed correlator label {label!r}")
     if m.group(1) is not None:

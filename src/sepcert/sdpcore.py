@@ -36,12 +36,6 @@ from .errors import NotEntangled, SolverFailure
 from .momentmat import MomentMatrixLayout, Monomial, layout_for
 
 DETECTION_THRESHOLD = 1e-6
-# Largest |1 - w.C| a detecting solve stops at.  1 - w.C is the lambda
-# entry of the certificate X, about gap / lambda*, which the tolerance test
-# does not bound: near the threshold it reached 1e-5.
-NORMALIZATION_TOL = 1e-7
-# Iterations a converged solve may add to meet NORMALIZATION_TOL.
-NORMALIZATION_ITERS = 5
 # Fraction of the largest feasible step length that each iteration takes.
 STEP_FRACTION = 0.98
 # Doubles in one chunk's (nb, d, d) stack of W F W products in the Schur
@@ -236,11 +230,9 @@ class InteriorPointSolver:
         self.options = options or SolverOptions()
 
     @single_blas_thread()
-    def solve(self, prob: BlockSdp, keep_trace: bool = False, accept=None) -> IpmResult:
-        """Iterate until the tolerance test passes and ``accept(x_blocks, y)``,
-        if given, holds; past the test, at most NORMALIZATION_ITERS iterations
-        are added for it, and an iteration that fails in that stretch
-        returns the last iterate that passed."""
+    def solve(self, prob: BlockSdp, keep_trace: bool = False) -> IpmResult:
+        """Iterate until the relative gap and the primal and dual
+        infeasibility are all within ``tol``, and return that first iterate."""
         opts = self.options
         dims = prob.block_dims
         n = prob.n_vars
@@ -268,8 +260,6 @@ class InteriorPointSolver:
         trace = []
         status = SdpStatus.ITERATION_LIMIT
         it = 0
-        passed = None   # (x, s, y, it) of the last iterate that passed the tolerance test
-        extra = 0
 
         for it in range(1, opts.max_iter + 1):
             rd = [prob.f0[b] + (prob.kmat[b] @ (-y)).reshape(dims[b], dims[b]) - s[b]
@@ -289,11 +279,8 @@ class InteriorPointSolver:
                 status = SdpStatus.NUMERICAL_TROUBLE
                 break
             if relgap <= opts.tol and pinf <= opts.tol and dinf <= opts.tol:
-                if accept is None or extra == NORMALIZATION_ITERS or accept(x, y):
-                    status = SdpStatus.OPTIMAL
-                    break
-                passed = (x, s, y, it)
-                extra += 1
+                status = SdpStatus.OPTIMAL
+                break
             if dobj > 1e10 * scale:
                 status = SdpStatus.PRIMAL_INFEASIBLE
                 break
@@ -365,8 +352,6 @@ class InteriorPointSolver:
             if keep_trace:
                 trace[-1].update({"sigma": sigma, "alpha_p": alpha_p, "alpha_d": alpha_d})
 
-        if status is not SdpStatus.OPTIMAL and passed is not None:
-            (x, s, y, it), status = passed, SdpStatus.OPTIMAL
         u = -y
         s_final = prob.g_of(u)  # = F0 - A*(y), so s_final - s is the loop's rd
         pobj = sum(float(np.sum(f * xb)) for f, xb in zip(prob.f0, x))
@@ -608,23 +593,10 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None,
     """Run the interior-point method and build verified certificates."""
     solver = InteriorPointSolver(options)
     layout = problem.layout
-
-    def certificate(x_blocks):
-        xproj = solver.certificate_projection(problem.reduced, x_blocks)
-        z = problem.full(xproj)[1:, 1:]
-        return (xproj, z, *_extract_multipliers(layout, z))
-
-    last = {}
-
-    def normalized(x_blocks, y):
-        if -y[0] <= DETECTION_THRESHOLD:  # no witness is drawn from it
-            return True
-        last["x"], last["cert"] = x_blocks, certificate(x_blocks)
-        return abs(1.0 - last["cert"][3]) <= NORMALIZATION_TOL
-
-    res = solver.solve(problem.reduced, keep_trace=keep_trace, accept=normalized)
-    cert = last["cert"] if last.get("x") is res.x_blocks else certificate(res.x_blocks)
-    xproj, z, w_data, w_dot_c = cert
+    res = solver.solve(problem.reduced, keep_trace=keep_trace)
+    xproj = solver.certificate_projection(problem.reduced, res.x_blocks)
+    z = problem.full(xproj)[1:, 1:]
+    w_data, w_dot_c = _extract_multipliers(layout, z)
 
     dual_resid = max(0.0, -min(float(np.linalg.eigvalsh(blk)[0]) for blk in xproj))
     dual_obj = -sum(float(np.sum(f * xb)) for f, xb in zip(problem.reduced.f0, xproj))
@@ -657,36 +629,38 @@ def certify(ds: CorrelationDataset, level: int = 1, scheme=None, extras=(),
     return solve(problem, options=options, keep_trace=keep_trace), problem
 
 
-def extract_witness(solution: SdpSolution, problem: SdpProblem,
-                    threshold: float = DETECTION_THRESHOLD):
+def extract_witness(solution: SdpSolution, problem: SdpProblem):
     """Entanglement witness from the solution's multipliers.
 
     The coefficients are ``solution.w_data``, keyed by correlator label,
     times kappa = (1 - lambda_star) / b for the certificate's proved bound
     b, so that all separable data provably satisfy
-    sum w_alpha C_alpha <= 1 - lambda_star, the stated bound, while the
-    certified dataset gives kappa * w.C = 1 up to about 1e-7.  A certificate
-    whose b is not below w.C proves no detection and raises SolverFailure.
-    ``problem`` is not read: the multipliers travel with the solution.
+    sum w_alpha C_alpha <= 1 - lambda_star, the stated bound.  b and w.C
+    fall short of 1 - lambda_star and 1 by the same lambda entry of the
+    certificate, up to the strong-duality residual, so kappa * w.C is 1 to
+    rounding on the certified dataset even where w.C is not; a witness off
+    by more than 1e-6 there raises SolverFailure, as does a certificate
+    whose b is not below w.C, which proves no detection.  ``problem`` is
+    not read: the multipliers travel with the solution.
     """
     from .witnesslab import Witness  # local import to avoid a module cycle
 
     if solution.status is not SdpStatus.OPTIMAL:
         raise SolverFailure(f"cannot extract a witness from status {solution.status.value}")
-    if solution.lambda_star <= threshold:
+    if not solution.entangled:
         raise NotEntangled(
             f"lambda* = {solution.lambda_star:.3e} is below the detection "
-            f"threshold {threshold:.0e}; the data are separable-compatible")
-    if abs(solution.w_dot_c - 1.0) > 1e-4:
-        raise SolverFailure(
-            f"dual certificate violates the normalization identity: "
-            f"w.C = {solution.w_dot_c!r}")
+            f"threshold {DETECTION_THRESHOLD:.0e}; the data are separable-compatible")
     bound = solution.proved_bound
     if not 0.0 < bound < solution.w_dot_c:
         raise SolverFailure(
             f"the bound {bound!r} the certificate proves for separable data is "
             f"not between 0 and w.C = {solution.w_dot_c!r}: no detection is proved")
     kappa = (1.0 - solution.lambda_star) / bound
+    if abs(kappa * solution.w_dot_c - 1.0) > 1e-6:
+        raise SolverFailure(
+            f"the witness is {kappa * solution.w_dot_c!r} on the certified data, "
+            f"not 1 within 1e-6")
     return Witness(coefficients={k: kappa * w for k, w in solution.w_data.items()},
                    separable_bound=1.0 - solution.lambda_star,
                    orientation="upper", provenance="dual_certificate")

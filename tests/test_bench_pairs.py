@@ -53,3 +53,22 @@ def test_seeds_and_alternation():
     with pytest.raises(ValueError):
         bench_pairs.parse_seeds("a")
     assert [bench_pairs.side_order(k)[0] for k in range(4)] == ["parent", "change"] * 2
+
+
+def test_scratch_directory_is_created(tmp_path, monkeypatch):
+    # a --scratch directory that does not exist yet is made, parents
+    # included; the exports are stubbed, so no run starts
+    class Exported(Exception):
+        pass
+
+    def export(revision, dest):
+        raise Exported(dest)
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export", export)
+    scratch = tmp_path / "a" / "b"
+    with pytest.raises(Exported) as info:
+        bench_pairs.main(["P", "C", "--workload", "thermal-chain", "--seeds", "1",
+                          "--label", "scratch-test", "--scratch", str(scratch)])
+    assert info.value.args[0].parent.parent == scratch
+    assert not (bench_pairs.ROOT / "BENCH_scratch-test.json").exists()

@@ -86,8 +86,12 @@ def test_labels_roundtrip():
             assert corrdata.one_body_label(*key) == label
         else:
             assert corrdata.two_body_label(*key) == label
+    # sites are ASCII digits and the label is the whole string
+    for bad in ("W[0]", "X[\u0663]", "X[0]\n"):
+        with pytest.raises(BadKey):
+            corrdata.parse_label(bad)
     with pytest.raises(BadKey):
-        corrdata.parse_label("W[0]")
+        sc.werner_dataset(0.0).value("ZZ[\u0660,\u0661]")
 
 
 # -- scale_noise ---------------------------------------------------------------

@@ -166,6 +166,8 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    if args.scratch is not None:
+        args.scratch.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.scratch, prefix="bench-pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
